@@ -573,7 +573,7 @@ def cmd_mc_tables(args) -> int:
         replications=args.reps,
         base_seed=args.seed if args.seed is not None else 0,
     )
-    cells = run_mc_tables(config, threads=args.threads)
+    cells = run_mc_tables(config)
     payload = {
         "schema": SCHEMA_TAG,
         "kind": "mc_tables",
@@ -645,9 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="json")
-    common.add_argument(
-        "--threads", type=int, default=0, help="worker threads, 0 = auto"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ml-eval", parents=[common], help="evaluate the Mittag-Leffler function")

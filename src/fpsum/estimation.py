@@ -9,6 +9,10 @@ h(k) = Gamma(k+1)^2 / Gamma(2k+1), which decreases strictly from 1 to 1/2 on
     kappa_hat  = h^{-1}(omega)
     sigma2_hat = (M2 - M1^2) * Gamma(kappa_hat + 1)
 
+In central moments c_k the kurtosis statistic is (c4 + 4 M1 c3) / (6 c2^2),
+the same value; a sample summary carries that centered form because the raw
+one cancels catastrophically once |M1| dwarfs the spread.
+
 Standard errors come from the delta method: sqrt(n) * (estimates - truth) is
 asymptotically normal with covariance grad_g Sigma grad_g^T, where Sigma is
 the covariance of (Y, Y^2, Y^4) and g maps population moments to parameters.
@@ -16,12 +20,15 @@ the covariance of (Y, Y^2, Y^4) and g maps population moments to parameters.
 Samples whose kurtosis statistic falls outside [1/2, 1) cannot be matched by
 any interior kappa; the fit clamps to the nearest boundary and flags it, and
 the kappa standard error is reported as unavailable.
+
+The inversion, covariance and gradient code is array-valued: ``mm_fit_many``
+fits many moment summaries in one pass, and the scalar functions evaluate the
+same code at a single point.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +41,13 @@ __all__ = [
     "BoundaryFlag",
     "MomentSummary",
     "FitResult",
+    "FitBatch",
     "FittedCumulants",
     "h",
     "h_prime",
     "h_inverse",
     "mm_fit",
+    "mm_fit_many",
     "population_moments",
     "moment_covariance",
     "moment_map_gradient",
@@ -47,6 +56,9 @@ __all__ = [
 ]
 
 KAPPA_FLOOR = 1e-6
+_BISECTION_WIDTH = 1e-6
+_NEWTON_TOL = 1e-12
+_NEWTON_STEPS = 100
 
 
 class BoundaryFlag(str, enum.Enum):
@@ -55,14 +67,30 @@ class BoundaryFlag(str, enum.Enum):
     CLAMPED_HIGH = "clamped_high"
 
 
+# the inversion works on integer codes; this maps them back to flags
+_INTERIOR, _CLAMPED_LOW, _CLAMPED_HIGH = range(3)
+_FLAGS = np.array(
+    [BoundaryFlag.INTERIOR, BoundaryFlag.CLAMPED_LOW, BoundaryFlag.CLAMPED_HIGH], dtype=object
+)
+
+
 @dataclass(frozen=True)
 class MomentSummary:
-    """Sample size and raw sample moments M1, M2, M4."""
+    """Sample size, raw sample moments M1, M2, M4, and the centered pair the
+    fit uses: the variance c2 and the kurtosis numerator c4 + 4 M1 c3.
+
+    When the centered pair is not given it is derived from the raw moments,
+    as c2 = M2 - M1^2 and M4 - 6 M1^2 M2 + 5 M1^4; ``from_sample`` computes it
+    from centered values instead, which keeps its precision under a large
+    location offset.
+    """
 
     n: int
     m1: float
     m2: float
     m4: float
+    variance: float | None = None
+    kurtosis_numerator: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -71,6 +99,11 @@ class MomentSummary:
             raise DomainError("m2 < m1^2 is impossible for real data")
         if self.m4 < self.m2**2:
             raise DomainError("m4 < m2^2 violates Cauchy-Schwarz")
+        if self.variance is None:
+            object.__setattr__(self, "variance", self.m2 - self.m1**2)
+        if self.kurtosis_numerator is None:
+            numerator = self.m4 - 6.0 * self.m1**2 * self.m2 + 5.0 * self.m1**4
+            object.__setattr__(self, "kurtosis_numerator", numerator)
 
     @classmethod
     def from_sample(cls, values) -> "MomentSummary":
@@ -79,11 +112,18 @@ class MomentSummary:
             raise DomainError("sample must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise DomainError("sample contains non-finite values")
+        n = arr.size
+        m1 = float(arr.sum() / n)
+        raw_square = arr * arr
+        centered = arr - m1
+        square = centered * centered
         return cls(
-            n=arr.size,
-            m1=float(arr.mean()),
-            m2=float((arr**2).mean()),
-            m4=float((arr**4).mean()),
+            n=n,
+            m1=m1,
+            m2=float(raw_square.sum() / n),
+            m4=float(raw_square @ raw_square / n),
+            variance=float(square.sum() / n),
+            kurtosis_numerator=float((square @ square + 4.0 * m1 * (square @ centered)) / n),
         )
 
 
@@ -106,6 +146,27 @@ class FitResult:
     n: int
 
 
+@dataclass(frozen=True, eq=False)
+class FitBatch:
+    """The fields of ``FitResult`` for R moment summaries at once.
+
+    Every field is an array along the summaries: ``cov`` is (R, 3, 3), ``se``
+    is (R, 3), and ``n`` is the sample size (or sizes) as given.
+    ``boundary_flag`` is an object array of BoundaryFlag members; test them
+    one by one (``flag is BoundaryFlag.INTERIOR``), because numpy turns a
+    str-enum operand of ``==`` into a truncated string.
+    """
+
+    mu_hat: np.ndarray
+    sigma2_hat: np.ndarray
+    kappa_hat: np.ndarray
+    cov: np.ndarray
+    se: np.ndarray
+    kurtosis_statistic: np.ndarray
+    boundary_flag: np.ndarray
+    n: int | np.ndarray
+
+
 @dataclass(frozen=True)
 class FittedCumulants:
     mean: float
@@ -114,11 +175,23 @@ class FittedCumulants:
     excess_kurtosis: float
 
 
-def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not 0.0 < kappa <= 1.0:
+def _check_kappa(kappa) -> np.ndarray:
+    kappa = np.asarray(kappa, dtype=float)
+    if not np.all((kappa > 0.0) & (kappa <= 1.0)):
         raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
     return kappa
+
+
+def _as_float(arr):
+    return float(arr) if np.ndim(arr) == 0 else arr
+
+
+def _h(kappa):
+    return np.exp(2.0 * gammaln(kappa + 1.0) - gammaln(2.0 * kappa + 1.0))
+
+
+def _h_prime(kappa, h_value):
+    return h_value * 2.0 * (psi(kappa + 1.0) - psi(2.0 * kappa + 1.0))
 
 
 def h(kappa):
@@ -126,8 +199,7 @@ def h(kappa):
     arr = np.asarray(kappa, dtype=float)
     if np.any(arr <= 0) or np.any(arr > 1):
         raise DomainError("h requires kappa in (0, 1]")
-    out = np.exp(2.0 * gammaln(arr + 1.0) - gammaln(2.0 * arr + 1.0))
-    return float(out) if arr.ndim == 0 else out
+    return _as_float(_h(arr))
 
 
 def h_prime(kappa):
@@ -135,79 +207,107 @@ def h_prime(kappa):
     arr = np.asarray(kappa, dtype=float)
     if np.any(arr <= 0) or np.any(arr > 1):
         raise DomainError("h_prime requires kappa in (0, 1]")
-    out = h(arr) * 2.0 * (psi(arr + 1.0) - psi(2.0 * arr + 1.0))
-    return float(out) if arr.ndim == 0 else out
+    return _as_float(_h_prime(arr, _h(arr)))
 
 
-def h_inverse(omega: float, kappa_floor: float = KAPPA_FLOOR) -> tuple[float, BoundaryFlag]:
+def _invert_h(omega: np.ndarray, kappa_floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve h(kappa) = omega elementwise on a 1-d array; returns kappa and
+    integer flag codes.
+
+    Every interior element is bisected on [kappa_floor, 1] until its bracket
+    is narrower than 1e-6, then Newton-polished until |h - omega| <= 1e-12
+    or a step would leave [kappa_floor, 1].  Each element stops on its own.
+    """
+    if not np.all(np.isfinite(omega)):
+        raise DomainError("omega must be finite")
+    kappa = np.ones_like(omega)
+    codes = np.full(omega.shape, _INTERIOR, dtype=np.int8)
+    codes[omega < 0.5] = _CLAMPED_HIGH
+    low = omega >= 1.0
+    codes[low] = _CLAMPED_LOW
+    kappa[low] = kappa_floor
+    interior = np.flatnonzero((omega > 0.5) & (omega < 1.0))
+    target = omega[interior]
+    lo = np.full(target.shape, kappa_floor)
+    hi = np.ones_like(target)
+    active = np.arange(target.size)
+    while True:
+        active = active[hi[active] - lo[active] > _BISECTION_WIDTH]
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        above = _h(mid) > target[active]
+        lo[active[above]] = mid[above]
+        hi[active[~above]] = mid[~above]
+    root = 0.5 * (lo + hi)
+    active = np.arange(target.size)
+    for _ in range(_NEWTON_STEPS):
+        value = _h(root[active])
+        resid = value - target[active]
+        keep = np.abs(resid) > _NEWTON_TOL
+        active, resid, value = active[keep], resid[keep], value[keep]
+        if not active.size:
+            break
+        nxt = root[active] - resid / _h_prime(root[active], value)
+        inside = (kappa_floor <= nxt) & (nxt <= 1.0)
+        active = active[inside]
+        root[active] = nxt[inside]
+    kappa[interior] = np.clip(root, kappa_floor, 1.0)
+    return kappa, codes
+
+
+def h_inverse(omega, kappa_floor: float = KAPPA_FLOOR):
     """Invert h by bisection plus Newton polish.
 
     omega in [1/2, 1) has an interior solution; values outside are clamped to
-    the nearest kappa boundary and flagged, never silently.
+    the nearest kappa boundary and flagged, never silently.  A scalar omega
+    gives (kappa, BoundaryFlag); an array gives an array of kappa and an
+    object array of flags, both of its shape.
     """
-    omega = float(omega)
-    if not np.isfinite(omega):
-        raise DomainError("omega must be finite")
-    if omega == 0.5:
-        return 1.0, BoundaryFlag.INTERIOR
-    if omega < 0.5:
-        return 1.0, BoundaryFlag.CLAMPED_HIGH
-    if omega >= 1.0:
-        return kappa_floor, BoundaryFlag.CLAMPED_LOW
-    lo, hi = kappa_floor, 1.0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > omega:
-            lo = mid
-        else:
-            hi = mid
-    kappa = 0.5 * (lo + hi)
-    for _ in range(100):
-        resid = h(kappa) - omega
-        if abs(resid) <= 1e-12:
-            break
-        step = resid / h_prime(kappa)
-        nxt = kappa - step
-        if not kappa_floor <= nxt <= 1.0:
-            break
-        kappa = nxt
-    return min(max(kappa, kappa_floor), 1.0), BoundaryFlag.INTERIOR
+    arr = np.asarray(omega, dtype=float)
+    kappa, codes = _invert_h(arr.ravel(), kappa_floor)
+    if arr.ndim == 0:
+        return float(kappa[0]), _FLAGS[codes[0]]
+    return kappa.reshape(arr.shape), _FLAGS[codes].reshape(arr.shape)
 
 
-def population_moments(mu: float, sigma2: float, kappa: float) -> tuple[float, float, float]:
-    """Exact (E Y, E Y^2, E Y^4) of the location-scale law."""
+def population_moments(mu, sigma2, kappa):
+    """Exact (E Y, E Y^2, E Y^4) of the location-scale law; broadcasts."""
     kappa = _check_kappa(kappa)
-    a = math.exp(-gammaln(kappa + 1.0))
-    b = 6.0 * math.exp(-gammaln(2.0 * kappa + 1.0))
+    a = np.exp(-gammaln(kappa + 1.0))
+    b = 6.0 * np.exp(-gammaln(2.0 * kappa + 1.0))
     m1 = mu
     m2 = mu**2 + sigma2 * a
     m4 = mu**4 + 6.0 * mu**2 * sigma2 * a + sigma2**2 * b
-    return m1, m2, m4
+    return m1, _as_float(m2), _as_float(m4)
 
 
-def moment_covariance(mu: float, sigma2: float, kappa: float) -> np.ndarray:
-    """Covariance matrix of (Y, Y^2, Y^4), entrywise closed forms."""
+def moment_covariance(mu, sigma2, kappa) -> np.ndarray:
+    """Covariance matrix of (Y, Y^2, Y^4), entrywise closed forms.
+
+    Array arguments broadcast and give a stack of matrices, shape (..., 3, 3).
+    """
     kappa = _check_kappa(kappa)
-    if not sigma2 > 0:
+    s2 = np.asarray(sigma2, dtype=float)
+    if not np.all(s2 > 0):
         raise DomainError("sigma2 must be positive")
-    g1 = math.exp(gammaln(kappa + 1.0))
-    g2 = math.exp(gammaln(2.0 * kappa + 1.0))
-    g3 = math.exp(gammaln(3.0 * kappa + 1.0))
-    g4 = math.exp(gammaln(4.0 * kappa + 1.0))
-    s2 = sigma2
-    cov = np.empty((3, 3))
-    cov[0, 0] = s2 / g1
-    cov[0, 1] = cov[1, 0] = 2.0 * mu * s2 / g1
-    cov[0, 2] = cov[2, 0] = 24.0 * mu * s2**2 / g2 + 4.0 * mu**3 * s2 / g1
-    cov[1, 1] = 6.0 * s2**2 / g2 + 4.0 * mu**2 * s2 / g1 - s2**2 / g1**2
-    cov[1, 2] = cov[2, 1] = (
+    g1 = np.exp(gammaln(kappa + 1.0))
+    g2 = np.exp(gammaln(2.0 * kappa + 1.0))
+    g3 = np.exp(gammaln(3.0 * kappa + 1.0))
+    g4 = np.exp(gammaln(4.0 * kappa + 1.0))
+    cov = np.empty(np.broadcast_shapes(np.shape(mu), s2.shape, kappa.shape) + (3, 3))
+    cov[..., 0, 0] = s2 / g1
+    cov[..., 0, 1] = cov[..., 1, 0] = 2.0 * mu * s2 / g1
+    cov[..., 0, 2] = cov[..., 2, 0] = 24.0 * mu * s2**2 / g2 + 4.0 * mu**3 * s2 / g1
+    cov[..., 1, 1] = 6.0 * s2**2 / g2 + 4.0 * mu**2 * s2 / g1 - s2**2 / g1**2
+    cov[..., 1, 2] = cov[..., 2, 1] = (
         90.0 * s2**3 / g3
         - 6.0 * s2**3 / (g2 * g1)
         + 84.0 * mu**2 * s2**2 / g2
         - 6.0 * mu**2 * s2**2 / g1**2
         + 8.0 * mu**4 * s2 / g1
     )
-    cov[2, 2] = (
+    cov[..., 2, 2] = (
         16.0 * mu**6 * s2 / g1
         + 408.0 * mu**4 * s2**2 / g2
         - 36.0 * mu**4 * s2**2 / g1**2
@@ -219,43 +319,92 @@ def moment_covariance(mu: float, sigma2: float, kappa: float) -> np.ndarray:
     return cov
 
 
-def moment_map_gradient(x: float, y: float, z: float) -> np.ndarray:
-    """Jacobian of (M1, M2, M4) -> (mu, sigma2, kappa) at the moment point.
+def _raw_spread(x, y):
+    d = y - x**2
+    if np.any(d <= 0):
+        raise EstimationError("degenerate moment point: m2 <= m1^2")
+    return d
+
+
+def _moment_map_gradient_at(x, y, z, kappa) -> np.ndarray:
+    """Jacobian of (M1, M2, M4) -> (mu, sigma2, kappa) where h^{-1}(omega) is
+    already known to be ``kappa``; broadcasts to shape (..., 3, 3).
 
     Uses Gamma'(t) = Gamma(t) psi(t) and d/dw h^{-1}(w) = 1 / h'(h^{-1}(w)).
     """
-    d = y - x**2
-    if d <= 0:
-        raise EstimationError("degenerate moment point: m2 <= m1^2")
-    omega = (z - 6.0 * x**2 * y + 5.0 * x**4) / (6.0 * d**2)
-    kappa, _ = h_inverse(omega)
-    gk = math.exp(gammaln(kappa + 1.0))
+    d = _raw_spread(x, y)
+    gk = np.exp(gammaln(kappa + 1.0))
     gk_prime = gk * psi(kappa + 1.0)
-    hp = h_prime(kappa)
-    dom_dx = (4.0 * x**3 * y - 6.0 * x * y**2 + 2.0 * x * z) / (3.0 * d**3)
-    dom_dy = (-2.0 * x**4 + 3.0 * x**2 * y - z) / (3.0 * d**3)
-    dom_dz = 1.0 / (6.0 * d**2)
-    dk_dx, dk_dy, dk_dz = dom_dx / hp, dom_dy / hp, dom_dz / hp
-    grad = np.zeros((3, 3))
-    grad[0, 0] = 1.0
-    grad[1, 0] = -2.0 * x * gk + d * gk_prime * dk_dx
-    grad[1, 1] = gk + d * gk_prime * dk_dy
-    grad[1, 2] = d * gk_prime * dk_dz
-    grad[2, 0] = dk_dx
-    grad[2, 1] = dk_dy
-    grad[2, 2] = dk_dz
+    hp = _h_prime(kappa, _h(kappa))
+    dk_dx = (4.0 * x**3 * y - 6.0 * x * y**2 + 2.0 * x * z) / (3.0 * d**3) / hp
+    dk_dy = (-2.0 * x**4 + 3.0 * x**2 * y - z) / (3.0 * d**3) / hp
+    dk_dz = 1.0 / (6.0 * d**2) / hp
+    grad = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z), np.shape(kappa))
+                    + (3, 3))
+    grad[..., 0, 0] = 1.0
+    grad[..., 1, 0] = -2.0 * x * gk + d * gk_prime * dk_dx
+    grad[..., 1, 1] = gk + d * gk_prime * dk_dy
+    grad[..., 1, 2] = d * gk_prime * dk_dz
+    grad[..., 2, 0] = dk_dx
+    grad[..., 2, 1] = dk_dy
+    grad[..., 2, 2] = dk_dz
     return grad
 
 
-def asymptotic_covariance(mu: float, sigma2: float, kappa: float) -> np.ndarray:
-    """Asymptotic covariance of sqrt(n)-scaled estimates: grad_g Sigma grad_g^T."""
+def moment_map_gradient(x, y, z) -> np.ndarray:
+    """Jacobian of (M1, M2, M4) -> (mu, sigma2, kappa) at the moment point."""
+    d = _raw_spread(x, y)
+    omega = (z - 6.0 * x**2 * y + 5.0 * x**4) / (6.0 * d**2)
+    kappa, _ = h_inverse(omega)
+    return _moment_map_gradient_at(x, y, z, kappa)
+
+
+def asymptotic_covariance(mu, sigma2, kappa) -> np.ndarray:
+    """Asymptotic covariance of sqrt(n)-scaled estimates: grad_g Sigma grad_g^T.
+
+    Array arguments broadcast and give a stack of matrices, shape (..., 3, 3).
+    """
     x, y, z = population_moments(mu, sigma2, kappa)
-    grad = moment_map_gradient(x, y, z)
+    grad = _moment_map_gradient_at(x, y, z, np.asarray(kappa, dtype=float))
     sigma = moment_covariance(mu, sigma2, kappa)
-    out = grad @ sigma @ grad.T
+    out = grad @ sigma @ np.swapaxes(grad, -1, -2)
     if not np.all(np.isfinite(out)):
         raise DomainError("asymptotic covariance has non-finite entries")
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def mm_fit_many(n, m1, variance, kurtosis_numerator) -> FitBatch:
+    """Fit (mu, sigma2, kappa) for many moment summaries in one array pass.
+
+    ``m1``, ``variance`` and ``kurtosis_numerator`` are equal-length 1-d
+    sequences holding each summary's fields of the same names; ``n`` is the
+    common sample size or an array of sizes.  Raises EstimationError if any
+    variance is not positive and DomainError if any omega or covariance is
+    non-finite.  Clamped fits carry se[:, 2] = nan.
+    """
+    sizes = np.asarray(n)
+    if np.any(sizes < 1):
+        raise DomainError("sample size must be >= 1")
+    m1 = np.asarray(m1, dtype=float)
+    d = np.asarray(variance, dtype=float)
+    if np.any(d <= 0):
+        raise EstimationError("degenerate sample: zero variance")
+    omega = np.asarray(kurtosis_numerator, dtype=float) / (6.0 * d**2)
+    kappa_hat, codes = _invert_h(omega, KAPPA_FLOOR)
+    sigma2_hat = d * np.exp(gammaln(kappa_hat + 1.0))
+    cov = asymptotic_covariance(m1, sigma2_hat, kappa_hat)
+    se = np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0) / sizes[..., None])
+    se[codes != _INTERIOR, 2] = np.nan
+    return FitBatch(
+        mu_hat=m1,
+        sigma2_hat=sigma2_hat,
+        kappa_hat=kappa_hat,
+        cov=cov,
+        se=se,
+        kurtosis_statistic=omega,
+        boundary_flag=_FLAGS[codes],
+        n=n,
+    )
 
 
 def mm_fit(summary: MomentSummary) -> FitResult:
@@ -264,26 +413,17 @@ def mm_fit(summary: MomentSummary) -> FitResult:
     Raises EstimationError on degenerate samples (zero variance).  A clamped
     kappa_hat propagates its boundary flag and suppresses se(kappa).
     """
-    m1, m2, m4 = summary.m1, summary.m2, summary.m4
-    d = m2 - m1**2
-    if d <= 0:
-        raise EstimationError("degenerate sample: second moment equals mean squared")
-    omega = (m4 - 6.0 * m1**2 * m2 + 5.0 * m1**4) / (6.0 * d**2)
-    kappa_hat, flag = h_inverse(omega)
-    sigma2_hat = d * math.exp(gammaln(kappa_hat + 1.0))
-    cov = asymptotic_covariance(m1, sigma2_hat, kappa_hat)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0) / summary.n)
-    if flag is not BoundaryFlag.INTERIOR:
-        se = se.copy()
-        se[2] = np.nan
+    fit = mm_fit_many(
+        summary.n, [summary.m1], [summary.variance], [summary.kurtosis_numerator]
+    )
     return FitResult(
-        mu_hat=m1,
-        sigma2_hat=sigma2_hat,
-        kappa_hat=kappa_hat,
-        cov=cov,
-        se=se,
-        kurtosis_statistic=omega,
-        boundary_flag=flag,
+        mu_hat=summary.m1,
+        sigma2_hat=float(fit.sigma2_hat[0]),
+        kappa_hat=float(fit.kappa_hat[0]),
+        cov=fit.cov[0],
+        se=fit.se[0],
+        kurtosis_statistic=float(fit.kurtosis_statistic[0]),
+        boundary_flag=fit.boundary_flag[0],
         n=summary.n,
     )
 

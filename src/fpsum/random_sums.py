@@ -23,7 +23,7 @@ from scipy.special import ndtr
 
 from .distributions import CompLaw, FractionalPoissonLaw, NmlLaw, RngStream
 from .errors import DomainError
-from .estimation import BoundaryFlag, MomentSummary, asymptotic_covariance, mm_fit
+from .estimation import BoundaryFlag, MomentSummary, mm_fit_many
 
 __all__ = [
     "SummandSpec",
@@ -268,36 +268,29 @@ class McCell:
 def _run_cell(config: McExperimentConfig, cell_index: int, kappa: float, n: int) -> McCell:
     law = NmlLaw(config.mu, config.sigma2, kappa)
     reps = config.replications
-    est = np.empty((reps, 3))
-    se_k = np.empty(reps)
-    flags = np.empty(reps, dtype=object)
+    moments = np.empty((3, reps))
     for r in range(reps):
         stream = RngStream(config.base_seed, cell_index * 1_000_003 + r)
-        sample = law.sample(stream, n)
-        fit = mm_fit(MomentSummary.from_sample(sample))
-        est[r] = (fit.mu_hat, fit.sigma2_hat, fit.kappa_hat)
-        se_k[r] = fit.se[2]
-        flags[r] = fit.boundary_flag
+        summary = MomentSummary.from_sample(law.sample(stream, n))
+        moments[:, r] = summary.m1, summary.variance, summary.kurtosis_numerator
+    fits = mm_fit_many(n, *moments)
+    flags = fits.boundary_flag.tolist()
     interior = np.array([f is BoundaryFlag.INTERIOR for f in flags])
-    kept = est[interior]
-    if kept.size == 0:
+    if not interior.any():
         raise DomainError(f"every replication clamped in cell kappa={kappa}, n={n}")
+    kept = np.column_stack((fits.mu_hat, fits.sigma2_hat, fits.kappa_hat))[interior]
     truth = np.array([config.mu, config.sigma2, kappa])
     names = ("mu", "sigma2", "kappa")
     mean_est = dict(zip(names, kept.mean(axis=0)))
     rmse = dict(zip(names, np.sqrt(((kept - truth) ** 2).mean(axis=0))))
     se_emp = dict(zip(names, kept.std(axis=0, ddof=1)))
-    theo = np.empty((int(interior.sum()), 3))
-    for i, r in enumerate(np.flatnonzero(interior)):
-        theo[i] = np.sqrt(np.maximum(np.diag(
-            asymptotic_covariance(est[r, 0], est[r, 1], est[r, 2])), 0.0) / n)
-    se_theo = dict(zip(names, theo.mean(axis=0)))
+    se_theo = dict(zip(names, fits.se[interior].mean(axis=0)))
     return McCell(
         kappa=kappa,
         n=n,
         replications=reps,
-        clamped_low=int(sum(f is BoundaryFlag.CLAMPED_LOW for f in flags)),
-        clamped_high=int(sum(f is BoundaryFlag.CLAMPED_HIGH for f in flags)),
+        clamped_low=flags.count(BoundaryFlag.CLAMPED_LOW),
+        clamped_high=flags.count(BoundaryFlag.CLAMPED_HIGH),
         mean_est=mean_est,
         rmse=rmse,
         se_empirical=se_emp,
@@ -305,21 +298,13 @@ def _run_cell(config: McExperimentConfig, cell_index: int, kappa: float, n: int)
     )
 
 
-def run_mc_tables(config: McExperimentConfig, threads: int = 0) -> list[McCell]:
+def run_mc_tables(config: McExperimentConfig) -> list[McCell]:
     """Run every (kappa, n) cell; deterministic for a given config/base_seed.
 
     Replication r of cell c owns stream (base_seed, c*1000003 + r), so results
-    do not depend on execution order; threads > 1 parallelizes over cells.
+    do not depend on execution order.  Each cell draws and summarizes its
+    samples one replication at a time, then fits them all in one
+    ``mm_fit_many`` pass.
     """
-    cells = [
-        (i, kappa, n)
-        for i, (kappa, n) in enumerate(
-            (k, n) for k in config.kappa_grid for n in config.sample_sizes
-        )
-    ]
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: _run_cell(config, *c), cells))
-    return [_run_cell(config, *c) for c in cells]
+    cells = [(k, n) for k in config.kappa_grid for n in config.sample_sizes]
+    return [_run_cell(config, i, kappa, n) for i, (kappa, n) in enumerate(cells)]

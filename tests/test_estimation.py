@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -79,9 +81,19 @@ class TestHInverse:
             assert abs(h(kappa) - omega) <= 1e-12
 
     def test_never_leaves_unit_interval(self):
-        for omega in [0.2, 0.5, 0.5000001, 0.75, 0.999999, 1.0, 37.0]:
-            kappa, _ = h_inverse(omega)
+        omegas = [0.2, 0.5, 0.5000001, 0.75, 0.999999, 1.0, 37.0]
+        scalar = [h_inverse(omega) for omega in omegas]
+        for kappa, _ in scalar:
             assert 0.0 < kappa <= 1.0
+        kappas, flags = h_inverse(np.array(omegas))
+        assert kappas.shape == flags.shape == (len(omegas),)
+        assert np.all((kappas > 0.0) & (kappas <= 1.0))
+        assert list(flags) == [flag for _, flag in scalar]
+        for omega, kappa, flag in zip(omegas, kappas, flags):
+            if flag is BoundaryFlag.INTERIOR:
+                assert abs(h(kappa) - omega) <= 1e-12
+        with pytest.raises(DomainError):
+            h_inverse(np.array([0.6, np.nan, 0.7]))
 
 
 class TestMmFit:
@@ -146,6 +158,18 @@ class TestMmFit:
         got = moved.kurtosis_statistic - base.kurtosis_statistic
         assert_allclose(got, predicted, rtol=1e-5)
         assert_allclose(moved.mu_hat, a * base.mu_hat + b, rtol=1e-10)
+
+    def test_kurtosis_statistic_survives_large_offset(self):
+        # raw moments cancel catastrophically here (omega = -24706, clamped
+        # high); the centered form c4 + 4 m1 c3 keeps the statistic's value
+        values = 1000.0 + 0.01 * NmlLaw(0.0, 1.0, 0.5).sample(RngStream(1), 2000)
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        central = {k: sum((v - mean) ** k for v in exact) / len(exact) for k in (2, 3, 4)}
+        want = float((central[4] + 4 * mean * central[3]) / (6 * central[2] ** 2))
+        fit = mm_fit(MomentSummary.from_sample(values))
+        assert fit.boundary_flag is BoundaryFlag.CLAMPED_LOW
+        assert_allclose(fit.kurtosis_statistic, want, rtol=1e-10)
 
     def test_moment_summary_invariants(self):
         with pytest.raises(DomainError):

@@ -146,17 +146,51 @@ class TestSweep:
 
 
 class TestMcTables:
-    def test_determinism_and_threads(self):
+    def test_determinism(self):
         config = McExperimentConfig(
             kappa_grid=(0.8, 0.5),
             sample_sizes=(200,),
             replications=40,
             base_seed=99,
         )
-        serial = run_mc_tables(config)
-        threaded = run_mc_tables(config, threads=4)
-        for a, b in zip(serial, threaded):
+        first = run_mc_tables(config)
+        second = run_mc_tables(config)
+        assert len(first) == len(second) == 2
+        for a, b in zip(first, second):
             assert a == b
+
+    def test_frozen_cells(self):
+        # run_mc_tables output recorded before the cell fit became one batched
+        # array pass, with the kurtosis statistic still taken from raw moments
+        config = McExperimentConfig(
+            kappa_grid=(0.8, 0.2), sample_sizes=(200,), replications=40, base_seed=99
+        )
+        frozen = {
+            0.8: {
+                "clamped": (0, 4),
+                "mean_est": (0.47806151366723815, 1.012993940891249, 0.7447280960340414),
+                "rmse": (0.09094675515227542, 0.09891868239997055, 0.19167685049063904),
+                "se_empirical": (0.08951305463380117, 0.09945254090024115, 0.18613828494317955),
+                "se_theoretical": (0.07369155721712108, 0.13375423734556924, 0.2623697817875287),
+            },
+            0.2: {
+                "clamped": (7, 0),
+                "mean_est": (0.47431388393990326, 0.9693403624447966, 0.5315648634316131),
+                "rmse": (0.07857062228847707, 0.138067854233436, 0.3982462259949681),
+                "se_empirical": (0.07540467538596551, 0.13670791479019853, 0.22402136681539161),
+                "se_theoretical": (0.07288302281165147, 0.21355453883136652, 0.48416704547073613),
+            },
+        }
+        cells = run_mc_tables(config)
+        assert [c.kappa for c in cells] == [0.8, 0.2]
+        for cell in cells:
+            want = frozen[cell.kappa]
+            assert (cell.replications, cell.n) == (40, 200)
+            assert (cell.clamped_low, cell.clamped_high) == want["clamped"]
+            for field in ("mean_est", "rmse", "se_empirical", "se_theoretical"):
+                got = getattr(cell, field)
+                assert list(got) == ["mu", "sigma2", "kappa"]
+                np.testing.assert_allclose(list(got.values()), want[field], rtol=1e-9, atol=0)
 
     def test_cell_contents(self):
         config = McExperimentConfig(
