@@ -180,7 +180,6 @@ def fit_models(series: ReturnsSeries, models: tuple[str, ...]) -> dict:
         if model == "nml":
             fit = mm_fit(MomentSummary.from_sample(values))
             cum = fitted_cumulants(fit)
-            se_kappa = None if math.isnan(fit.se[2]) else float(fit.se[2])
             report_models.append(
                 {
                     "model": "nml",
@@ -190,9 +189,8 @@ def fit_models(series: ReturnsSeries, models: tuple[str, ...]) -> dict:
                         "kappa": fit.kappa_hat,
                     },
                     "se": {
-                        "mu": float(fit.se[0]),
-                        "sigma2": float(fit.se[1]),
-                        "kappa": se_kappa,
+                        p: None if math.isnan(v) else float(v)
+                        for p, v in zip(("mu", "sigma2", "kappa"), fit.se)
                     },
                     "boundary_flag": fit.boundary_flag.value,
                     "fitted_cumulants": {
@@ -265,7 +263,7 @@ def _format_fit_table(report: dict) -> str:
             return "--"
         body = f"{value: .6g}"
         if se is not None:
-            body += f" ({se:.3g})" if se is not None else ""
+            body += f" ({se:.3g})"
         return body
 
     lines = []
@@ -324,22 +322,14 @@ def _clean(obj):
     return obj
 
 
+# (payload key, CSV header) of each column, per report kind
 _CSV_COLUMNS = {
-    "ml_eval": ("z", "value"),
-    "density_grid": ("x", "density"),
-    "pmf_grid": ("n", "pmf"),
-    "samples": ("values",),
-    "returns_series": ("dates", "values"),
-    "convergence": ("grid", "ks"),
-}
-
-_CSV_HEADERS = {
-    "ml_eval": ("z", "value"),
-    "density_grid": ("x", "density"),
-    "pmf_grid": ("n", "pmf"),
-    "samples": ("value",),
-    "returns_series": ("date", "log_return"),
-    "convergence": ("rate", "ks"),
+    "ml_eval": (("z", "z"), ("value", "value")),
+    "density_grid": (("x", "x"), ("density", "density")),
+    "pmf_grid": (("n", "n"), ("pmf", "pmf")),
+    "samples": (("values", "value"),),
+    "returns_series": (("dates", "date"), ("values", "log_return")),
+    "convergence": (("grid", "rate"), ("ks", "ks")),
 }
 
 
@@ -368,9 +358,9 @@ def _to_csv(payload: dict) -> str:
         return buf.getvalue()
     if kind not in _CSV_COLUMNS:
         raise DomainError(f"no CSV form for {kind!r} output")
-    cols = _CSV_COLUMNS[kind]
-    writer.writerow(_CSV_HEADERS[kind])
-    for row in zip(*(payload[c] for c in cols)):
+    keys, headers = zip(*_CSV_COLUMNS[kind])
+    writer.writerow(headers)
+    for row in zip(*(payload[k] for k in keys)):
         writer.writerow([_fmt_num(v) for v in row])
     return buf.getvalue()
 

@@ -19,7 +19,8 @@ the covariance of (Y, Y^2, Y^4) and g maps population moments to parameters.
 
 Samples whose kurtosis statistic falls outside [1/2, 1) cannot be matched by
 any interior kappa; the fit clamps to the nearest boundary and flags it, and
-the kappa standard error is reported as unavailable.
+the kappa standard error is reported as unavailable.  So is the sigma2 one at
+the lower clamp, where h' -> 0 makes the delta method meaningless.
 
 The inversion, covariance and gradient code is array-valued: ``mm_fit_many``
 fits many moment summaries in one pass, and the scalar functions evaluate the
@@ -29,6 +30,7 @@ same code at a single point.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +82,10 @@ class MomentSummary:
     fit uses: the variance c2 and the kurtosis numerator c4 + 4 M1 c3.
 
     When the centered pair is not given it is derived from the raw moments,
-    as c2 = M2 - M1^2 and M4 - 6 M1^2 M2 + 5 M1^4; ``from_sample`` computes it
-    from centered values instead, which keeps its precision under a large
-    location offset.
+    as c2 = M2 - M1^2 and M4 - 6 M1^2 M2 + 5 M1^4, after checking that
+    M2 >= M1^2 and M4 >= M2^2.  ``from_sample`` computes it from centered
+    values instead, which keeps its precision under a large location offset;
+    a summary given the pair checks only that it is finite with c2 >= 0.
     """
 
     n: int
@@ -95,6 +98,13 @@ class MomentSummary:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("sample size must be >= 1")
+        if self.variance is not None and self.kurtosis_numerator is not None:
+            # the raw checks below fail on rounding alone under a large offset
+            if not (math.isfinite(self.variance) and math.isfinite(self.kurtosis_numerator)):
+                raise DomainError("centered moments must be finite")
+            if self.variance < 0:
+                raise DomainError("variance < 0 is impossible for real data")
+            return
         if self.m2 < self.m1**2:
             raise DomainError("m2 < m1^2 is impossible for real data")
         if self.m4 < self.m2**2:
@@ -116,6 +126,9 @@ class MomentSummary:
         m1 = float(arr.sum() / n)
         raw_square = arr * arr
         centered = arr - m1
+        # m1 carries the rounding of a sum of large values; the term 4 M1 c3
+        # amplifies that error, so centre once more on the residual mean
+        centered -= centered.sum() / n
         square = centered * centered
         return cls(
             n=n,
@@ -133,7 +146,9 @@ class FitResult:
 
     ``cov`` is the asymptotic covariance of sqrt(n)*(mu_hat, sigma2_hat,
     kappa_hat); ``se`` divides out the sample size.  A clamped kappa_hat
-    carries se[kappa] = nan.
+    carries se[kappa] = nan; a ``clamped_low`` one also carries se[sigma2] =
+    nan, because h' vanishes at the floor and the delta method there gives no
+    usable value.
     """
 
     mu_hat: float
@@ -151,7 +166,8 @@ class FitBatch:
     """The fields of ``FitResult`` for R moment summaries at once.
 
     Every field is an array along the summaries: ``cov`` is (R, 3, 3), ``se``
-    is (R, 3), and ``n`` is the sample size (or sizes) as given.
+    is (R, 3), and ``n`` is the sample size (or sizes) as given.  Unavailable
+    standard errors are nan, as in ``FitResult``.
     ``boundary_flag`` is an object array of BoundaryFlag members; test them
     one by one (``flag is BoundaryFlag.INTERIOR``), because numpy turns a
     str-enum operand of ``==`` into a truncated string.
@@ -319,28 +335,24 @@ def moment_covariance(mu, sigma2, kappa) -> np.ndarray:
     return cov
 
 
-def _raw_spread(x, y):
-    d = y - x**2
-    if np.any(d <= 0):
-        raise EstimationError("degenerate moment point: m2 <= m1^2")
-    return d
-
-
-def _moment_map_gradient_at(x, y, z, kappa) -> np.ndarray:
-    """Jacobian of (M1, M2, M4) -> (mu, sigma2, kappa) where h^{-1}(omega) is
-    already known to be ``kappa``; broadcasts to shape (..., 3, 3).
+def moment_map_gradient(x, y, z) -> np.ndarray:
+    """Jacobian of (M1, M2, M4) -> (mu, sigma2, kappa) at the moment point;
+    broadcasts to shape (..., 3, 3).
 
     Uses Gamma'(t) = Gamma(t) psi(t) and d/dw h^{-1}(w) = 1 / h'(h^{-1}(w)).
     """
-    d = _raw_spread(x, y)
+    d = y - x**2
+    if np.any(d <= 0):
+        raise EstimationError("degenerate moment point: m2 <= m1^2")
+    omega = (z - 6.0 * x**2 * y + 5.0 * x**4) / (6.0 * d**2)
+    kappa, _ = h_inverse(omega)
     gk = np.exp(gammaln(kappa + 1.0))
     gk_prime = gk * psi(kappa + 1.0)
     hp = _h_prime(kappa, _h(kappa))
     dk_dx = (4.0 * x**3 * y - 6.0 * x * y**2 + 2.0 * x * z) / (3.0 * d**3) / hp
     dk_dy = (-2.0 * x**4 + 3.0 * x**2 * y - z) / (3.0 * d**3) / hp
     dk_dz = 1.0 / (6.0 * d**2) / hp
-    grad = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z), np.shape(kappa))
-                    + (3, 3))
+    grad = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)) + (3, 3))
     grad[..., 0, 0] = 1.0
     grad[..., 1, 0] = -2.0 * x * gk + d * gk_prime * dk_dx
     grad[..., 1, 1] = gk + d * gk_prime * dk_dy
@@ -351,22 +363,45 @@ def _moment_map_gradient_at(x, y, z, kappa) -> np.ndarray:
     return grad
 
 
-def moment_map_gradient(x, y, z) -> np.ndarray:
-    """Jacobian of (M1, M2, M4) -> (mu, sigma2, kappa) at the moment point."""
-    d = _raw_spread(x, y)
-    omega = (z - 6.0 * x**2 * y + 5.0 * x**4) / (6.0 * d**2)
-    kappa, _ = h_inverse(omega)
-    return _moment_map_gradient_at(x, y, z, kappa)
-
-
 def asymptotic_covariance(mu, sigma2, kappa) -> np.ndarray:
     """Asymptotic covariance of sqrt(n)-scaled estimates: grad_g Sigma grad_g^T.
 
+    (M1, M2, M4) are linear in the sample moments (A1, A2, A3, A4) of
+    X = Y - mu, so the delta method runs in those instead: same result,
+    without the cancellation of raw moments under a large |mu|.  At the
+    population point, where A_k = a_k = E X^k and a1 = a3 = 0, the variance
+    A2 - A1^2 has gradient (0, 1, 0, 0) and the kurtosis numerator
+    c4 + 4 M1 c3 has gradient (-12 mu a2, 0, 4 mu, 1).
     Array arguments broadcast and give a stack of matrices, shape (..., 3, 3).
     """
-    x, y, z = population_moments(mu, sigma2, kappa)
-    grad = _moment_map_gradient_at(x, y, z, np.asarray(kappa, dtype=float))
-    sigma = moment_covariance(mu, sigma2, kappa)
+    kappa = _check_kappa(kappa)
+    s2 = np.asarray(sigma2, dtype=float)
+    if not np.all(s2 > 0):
+        raise DomainError("sigma2 must be positive")
+    mu = np.asarray(mu, dtype=float)
+    g1, g2, g3, g4 = (np.exp(gammaln(j * kappa + 1.0)) for j in (1.0, 2.0, 3.0, 4.0))
+    a2, a4, a6, a8 = s2 / g1, 6.0 * s2**2 / g2, 90.0 * s2**3 / g3, 2520.0 * s2**4 / g4
+    shape = np.broadcast_shapes(mu.shape, s2.shape, kappa.shape)
+    # covariance of (X, X^2, X^3, X^4); the odd moments of X vanish
+    sigma = np.zeros(shape + (4, 4))
+    sigma[..., 0, 0] = a2
+    sigma[..., 0, 2] = sigma[..., 2, 0] = a4
+    sigma[..., 1, 1] = a4 - a2**2
+    sigma[..., 1, 3] = sigma[..., 3, 1] = a6 - a2 * a4
+    sigma[..., 2, 2] = a6
+    sigma[..., 3, 3] = a8 - a4**2
+    # kappa = h^{-1}(omega), omega = numerator / (6 variance^2)
+    dk = np.zeros(shape + (4,))
+    dk[..., 0] = -12.0 * mu * a2
+    dk[..., 1] = -2.0 * a4 / a2
+    dk[..., 2] = 4.0 * mu
+    dk[..., 3] = 1.0
+    dk /= (6.0 * a2**2 * _h_prime(kappa, _h(kappa)))[..., None]
+    grad = np.zeros(shape + (3, 4))
+    grad[..., 0, 0] = 1.0
+    grad[..., 1, :] = (a2 * g1 * psi(kappa + 1.0))[..., None] * dk
+    grad[..., 1, 1] += g1
+    grad[..., 2, :] = dk
     out = grad @ sigma @ np.swapaxes(grad, -1, -2)
     if not np.all(np.isfinite(out)):
         raise DomainError("asymptotic covariance has non-finite entries")
@@ -380,7 +415,8 @@ def mm_fit_many(n, m1, variance, kurtosis_numerator) -> FitBatch:
     sequences holding each summary's fields of the same names; ``n`` is the
     common sample size or an array of sizes.  Raises EstimationError if any
     variance is not positive and DomainError if any omega or covariance is
-    non-finite.  Clamped fits carry se[:, 2] = nan.
+    non-finite.  Clamped fits carry se[:, 2] = nan, and ``clamped_low`` fits
+    also se[:, 1] = nan.
     """
     sizes = np.asarray(n)
     if np.any(sizes < 1):
@@ -395,6 +431,7 @@ def mm_fit_many(n, m1, variance, kurtosis_numerator) -> FitBatch:
     cov = asymptotic_covariance(m1, sigma2_hat, kappa_hat)
     se = np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0) / sizes[..., None])
     se[codes != _INTERIOR, 2] = np.nan
+    se[codes == _CLAMPED_LOW, 1] = np.nan
     return FitBatch(
         mu_hat=m1,
         sigma2_hat=sigma2_hat,
@@ -411,7 +448,8 @@ def mm_fit(summary: MomentSummary) -> FitResult:
     """Fit (mu, sigma2, kappa) from a moment summary.
 
     Raises EstimationError on degenerate samples (zero variance).  A clamped
-    kappa_hat propagates its boundary flag and suppresses se(kappa).
+    kappa_hat propagates its boundary flag and suppresses se(kappa), and at
+    the lower clamp se(sigma2) too.
     """
     fit = mm_fit_many(
         summary.n, [summary.m1], [summary.variance], [summary.kurtosis_numerator]

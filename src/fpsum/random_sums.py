@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.special import ndtr
 
 from .distributions import CompLaw, FractionalPoissonLaw, NmlLaw, RngStream
@@ -131,23 +132,58 @@ def comp_random_sum(
 # ---------------------------------------------------------------------------
 
 
+# The standard NML cdf is tabulated once per kappa from a piecewise-Chebyshev
+# interpolant of the density in |y| on [0, 12 sd], integrated exactly piece by
+# piece (Trefethen, Approximation Theory and Approximation Practice, 2013).
+# For kappa < 1 the density has a kink at y = 0, so the pieces grade
+# geometrically toward it; past |y| = 1.5 they have a fixed width.  The table
+# is fine enough that linear interpolation between its points errs by <= 6e-8.
+_CDF_SPAN_SD = 12.0
+_CDF_DEGREE = 24
+_CDF_NEAR_EDGES = np.concatenate(([0.0], np.geomspace(1e-3, 1.0, 7)))
+_CDF_FAR_START, _CDF_FAR_WIDTH = 1.5, 0.75
+_CDF_TABLE_SIZE = 2**15 + 1
+
+
 @lru_cache(maxsize=16)
 def _nml_cdf_grid(kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid cdf of the standard law on +-12 standard deviations."""
+    """Cdf table of the standard law on +-12 standard deviations.
+
+    For y >= 0, F(y) = 1/2 + (mass on [0, y]) / (2 * mass on [0, span]) and
+    F(-y) = 1 - F(y), so F(0) = 1/2 and the symmetry hold by construction.
+    """
     law = NmlLaw(0.0, 1.0, kappa)
-    sd = math.sqrt(law.cumulants()[1])
-    span = 12.0 * sd
-    x = np.linspace(-span, span, 9001)
-    f = law.density(x)
-    cdf = np.concatenate(([0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * np.diff(x))))
-    # symmetrize and pin the median, then normalize the tiny tail remainder
-    half = cdf[-1] / 2.0
-    cdf = np.clip((cdf - half) / cdf[-1] + 0.5, 0.0, 1.0)
+    span = _CDF_SPAN_SD * math.sqrt(law.cumulants()[1])
+    edges = np.concatenate(
+        (_CDF_NEAR_EDGES, np.arange(_CDF_FAR_START, span, _CDF_FAR_WIDTH), [span])
+    )
+    mid, hw = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    t = chebyshev.chebpts1(_CDF_DEGREE + 1)
+    nodes = mid[:, None] + hw[:, None] * t
+    values = law.density(nodes.ravel()).reshape(nodes.shape)
+    # interpolation coefficients at first-kind points (discrete orthogonality)
+    coef = values @ chebyshev.chebvander(t, _CDF_DEGREE) * (2.0 / (_CDF_DEGREE + 1))
+    coef[:, 0] /= 2.0
+    # antiderivative of each piece in y, zero at the piece's left edge
+    anti = chebyshev.chebint(coef, lbnd=-1.0, axis=1) * hw[:, None]
+    before = np.concatenate(([0.0], np.cumsum(chebyshev.chebval(1.0, anti.T))))
+
+    y = np.linspace(0.0, span, (_CDF_TABLE_SIZE + 1) // 2)
+    piece = np.minimum(np.searchsorted(edges, y, side="right") - 1, mid.size - 1)
+    mass = before[piece] + chebyshev.chebval((y - mid[piece]) / hw[piece], anti[piece].T,
+                                             tensor=False)
+    mass[0] = 0.0
+    # far out the density's absolute error (~1e-9, either sign) exceeds its
+    # value and can make the running mass dip; the cdf must not
+    mass = np.maximum.accumulate(mass)
+    upper = 0.5 + 0.5 * mass / mass[-1]
+    x = np.concatenate((-y[:0:-1], y))
+    cdf = np.concatenate((1.0 - upper[:0:-1], upper))
     return x, cdf
 
 
 def nml_cdf(kappa: float, x) -> np.ndarray:
-    """Cdf of the standard law, interpolated from a cached quadrature grid."""
+    """Cdf of the standard law, interpolated linearly from its cached table."""
     grid, cdf = _nml_cdf_grid(kappa)
     return np.interp(np.asarray(x, dtype=float), grid, cdf, left=0.0, right=1.0)
 

@@ -192,6 +192,23 @@ class TestFit:
         nml = payload["models"][0]
         assert abs(nml["estimates"]["kappa"] - 0.5) <= 0.05
 
+    def test_clamped_low_fit_reports_null_se(self, tmp_path, capsys):
+        values = 1000.0 + 0.01 * NmlLaw(0.0, 1.0, 0.5).sample(RngStream(1), 2000)
+        start = datetime.date(2000, 1, 1)
+        rows = ["date,log_return"] + [
+            f"{(start + datetime.timedelta(days=i)).isoformat()},{float(v)!r}"
+            for i, v in enumerate(values)
+        ]
+        path = tmp_path / "returns.csv"
+        path.write_text("\n".join(rows) + "\n")
+        payload = run_json(["fit", str(path), "--models", "nml"], tmp_path)
+        nml = payload["models"][0]
+        assert nml["boundary_flag"] == "clamped_low"
+        assert nml["se"]["sigma2"] is None and nml["se"]["kappa"] is None
+        assert nml["se"]["mu"] > 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("nml"))
+        assert row.count("(") == 1
+
     def test_constant_series_is_numeric_failure(self, tmp_path, capsys):
         path = write_prices(tmp_path, [100] * 30)
         out = tmp_path / "r.csv"

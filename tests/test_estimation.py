@@ -119,6 +119,11 @@ class TestMmFit:
         assert fit.boundary_flag is BoundaryFlag.CLAMPED_HIGH
         assert np.isnan(fit.se[2])
         assert np.isfinite(fit.se[:2]).all()
+        # at the lower clamp h' -> 0, so the delta-method se[sigma2] goes too
+        fit = mm_fit(MomentSummary(n=50, m1=0.3, m2=1.0, m4=9.0))  # omega >= 1
+        assert fit.boundary_flag is BoundaryFlag.CLAMPED_LOW
+        assert np.isnan(fit.se[1:]).all()
+        assert np.isfinite(fit.se[0])
 
     @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.8])
     def test_plugin_consistency(self, kappa):
@@ -160,16 +165,19 @@ class TestMmFit:
         assert_allclose(moved.mu_hat, a * base.mu_hat + b, rtol=1e-10)
 
     def test_kurtosis_statistic_survives_large_offset(self):
-        # raw moments cancel catastrophically here (omega = -24706, clamped
-        # high); the centered form c4 + 4 m1 c3 keeps the statistic's value
-        values = 1000.0 + 0.01 * NmlLaw(0.0, 1.0, 0.5).sample(RngStream(1), 2000)
-        exact = [Fraction(v) for v in values]
-        mean = sum(exact) / len(exact)
-        central = {k: sum((v - mean) ** k for v in exact) / len(exact) for k in (2, 3, 4)}
-        want = float((central[4] + 4 * mean * central[3]) / (6 * central[2] ** 2))
-        fit = mm_fit(MomentSummary.from_sample(values))
-        assert fit.boundary_flag is BoundaryFlag.CLAMPED_LOW
-        assert_allclose(fit.kurtosis_statistic, want, rtol=1e-10)
+        # raw moments cancel catastrophically here (at offset 1000, omega =
+        # -24706, clamped high; at 1e8 the summary itself was rejected); the
+        # centered form c4 + 4 m1 c3 keeps the statistic's value
+        x = NmlLaw(0.0, 1.0, 0.5).sample(RngStream(1), 2000)
+        for offset, scale in ((1000.0, 0.01), (1e8, 1e-3)):
+            values = offset + scale * x
+            exact = [Fraction(v) for v in values]
+            mean = sum(exact) / len(exact)
+            central = {k: sum((v - mean) ** k for v in exact) / len(exact) for k in (2, 3, 4)}
+            want = float((central[4] + 4 * mean * central[3]) / (6 * central[2] ** 2))
+            fit = mm_fit(MomentSummary.from_sample(values))
+            assert fit.boundary_flag is BoundaryFlag.CLAMPED_LOW
+            assert_allclose(fit.kurtosis_statistic, want, rtol=1e-10)
 
     def test_moment_summary_invariants(self):
         with pytest.raises(DomainError):
@@ -178,6 +186,12 @@ class TestMmFit:
             MomentSummary(n=5, m1=0.0, m2=2.0, m4=1.0)
         with pytest.raises(DomainError):
             MomentSummary(n=0, m1=0.0, m2=1.0, m4=3.0)
+        # a summary given its centered pair is checked on that pair alone
+        MomentSummary(n=5, m1=1e8, m2=1e16, m4=1e32, variance=1e-6, kurtosis_numerator=-1.0)
+        with pytest.raises(DomainError):
+            MomentSummary(n=5, m1=0.0, m2=1.0, m4=3.0, variance=-1e-9, kurtosis_numerator=3.0)
+        with pytest.raises(DomainError):
+            MomentSummary(n=5, m1=0.0, m2=1.0, m4=3.0, variance=1.0, kurtosis_numerator=np.nan)
 
 
 class TestCovariance:
@@ -231,6 +245,14 @@ class TestCovariance:
             lo = g(x - delta[0], y - delta[1], z - delta[2])
             fd[:, j] = (hi - lo) / (2 * delta[j])
         assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)) <= 1e-6
+
+    @pytest.mark.parametrize("point", [(0.5, 1.0, 0.8), (-0.3, 0.5, 0.3), (2.0, 0.3, 0.05)])
+    def test_matches_raw_moment_delta_method(self, point):
+        # reference: grad_g Sigma grad_g^T in the raw moments (M1, M2, M4);
+        # its gradient re-inverts h, to |h - omega| <= 1e-12, hence the rtol
+        grad = moment_map_gradient(*population_moments(*point))
+        raw = grad @ moment_covariance(*point) @ grad.T
+        assert_allclose(asymptotic_covariance(*point), raw, rtol=1e-9)
 
     def test_theoretical_se_at_table_corner(self):
         avar = asymptotic_covariance(0.5, 1.0, 0.8)

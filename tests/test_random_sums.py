@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import ndtr
 
@@ -112,6 +113,49 @@ class TestRandomSums:
             draws = comp_random_sum(lam, 2.0, SummandSpec(), RngStream(18), 100_000)
             ks[lam] = ks_distance(draws, ndtr(np.sort(draws)))
         assert ks[1e2] > ks[1e4]
+
+
+class TestNmlCdf:
+    def test_normal_case_matches_ndtr(self):
+        y = np.linspace(-8.0, 8.0, 4001)
+        assert np.max(np.abs(nml_cdf(1.0, y) - ndtr(y))) <= 1e-7
+
+    def test_half_matches_mixture_route(self):
+        # independent route: F(y) = int_0^inf Phi(y/sqrt(u)) g(u) du with the
+        # closed-form mixing density g(u) = exp(-u^2/4)/sqrt(pi) at kappa = 1/2
+        def mixture_cdf(y):
+            value, _ = quad(
+                lambda u: ndtr(y / math.sqrt(u)) * math.exp(-u * u / 4.0) / math.sqrt(math.pi),
+                0.0,
+                np.inf,
+                epsabs=1e-14,
+                epsrel=1e-13,
+                limit=200,
+            )
+            return value
+
+        y = np.linspace(-8.0, 8.0, 16)
+        want = np.array([mixture_cdf(v) for v in y])
+        assert np.max(np.abs(nml_cdf(0.5, y) - want)) <= 1e-7
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.5, 0.8, 0.9, 1.0])
+    def test_shape(self, kappa):
+        y = np.sort(np.random.default_rng(6).uniform(-15.0, 15.0, 100_000))
+        f = nml_cdf(kappa, y)
+        assert nml_cdf(kappa, 0.0) == 0.5
+        assert np.all(np.diff(f) >= 0.0)
+        np.testing.assert_allclose(nml_cdf(kappa, -y), 1.0 - f, rtol=0, atol=1e-15)
+        assert nml_cdf(kappa, -np.inf) == 0.0 and nml_cdf(kappa, np.inf) == 1.0
+
+    def test_sweep_distances_frozen(self):
+        # KS distances recorded while the cdf table was a 9001-point trapezoid
+        # of the density; the exactly integrated interpolant moves them < 1e-6
+        report = convergence_sweep(
+            "fp", (10, 1000), SummandSpec(), 20000, RngStream(5), kappa=0.3
+        )
+        np.testing.assert_allclose(
+            report.distances, (0.036324416178469654, 0.009334793655171092), rtol=0, atol=1e-6
+        )
 
 
 class TestSweep:
