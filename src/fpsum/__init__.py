@@ -45,9 +45,6 @@ from .random_sums import (
 from .special_functions import (
     DEFAULT_ML_CONFIG,
     MlEvalConfig,
-    beta,
-    digamma,
-    log_gamma,
     mittag_leffler,
 )
 
@@ -75,17 +72,14 @@ __all__ = [
     "RngStream",
     "SummandSpec",
     "asymptotic_covariance",
-    "beta",
     "comp_random_sum",
     "convergence_sweep",
-    "digamma",
     "fitted_cumulants",
     "fp_random_sum",
     "h",
     "h_inverse",
     "h_prime",
     "ks_distance",
-    "log_gamma",
     "mittag_leffler",
     "mm_fit",
     "mm_fit_many",

@@ -18,14 +18,17 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, rgamma, roots_legendre, sici
+from scipy.special import gammaln, rgamma, sici
 
 from .errors import DomainError, EvaluationError
 from .special_functions import (
     DEFAULT_ML_CONFIG,
     MlEvalConfig,
+    _check_kappa,
+    _gl_panels,
     _kanter_log,
     _mixing_density_log,
+    _sum_series,
     mittag_leffler,
 )
 
@@ -66,13 +69,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not 0.0 < kappa <= 1.0:
-        raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
-    return kappa
-
-
 def _as_array(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
@@ -100,25 +96,15 @@ def _mixing_series(kappa: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     declared after several consecutive small terms.
     """
     log_u = np.log(u)
-    total = np.zeros_like(u)
-    peak = np.zeros_like(u)
-    small_runs = np.zeros(u.shape, dtype=int)
-    active = np.ones(u.shape, dtype=bool)
-    for j in range(1, _ML_SERIES_MAX_TERMS):
-        lt = gammaln(kappa * j + 1.0) - gammaln(j + 1.0) + (j - 1) * log_u[active]
-        term = (-1.0) ** (j - 1) * np.sin(np.pi * kappa * j) * np.exp(lt)
-        total[active] += term
-        peak[active] = np.maximum(peak[active], np.abs(term))
-        runs = np.where(np.abs(term) <= 1e-15 * np.maximum(np.abs(total[active]), 1e-300),
-                        small_runs[active] + 1, 0)
-        small_runs[active] = runs
-        done = runs >= 4
-        if done.any():
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
-        if not active.any():
-            break
-    if active.any():
+
+    def terms(rows, j):
+        lt = gammaln(kappa * j + 1.0) - gammaln(j + 1.0) + (j - 1) * log_u[rows, None]
+        return (-1.0) ** (j - 1) * np.sin(np.pi * kappa * j) * np.exp(lt)
+
+    total, peak, unconverged = _sum_series(
+        terms, 1, np.zeros_like(u), 4, 1e-15, _ML_SERIES_MAX_TERMS - 1
+    )
+    if unconverged.any():
         raise EvaluationError("mixing density series did not converge")
     scale = np.pi * kappa
     return total / scale, peak / scale
@@ -200,45 +186,31 @@ _FP_SERIES_MAX_TERMS = 2000
 def _fp_pmf_series(nu: float, kappa: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alternating pmf series; returns (values, max |term|) per count."""
     log_nu = math.log(nu)
-    total = np.zeros(n.shape)
-    peak = np.zeros(n.shape)
-    small_runs = np.zeros(n.shape, dtype=int)
-    active = np.ones(n.shape, dtype=bool)
     prefix = n * log_nu - gammaln(n + 1.0)
-    for i in range(_FP_SERIES_MAX_TERMS):
-        na = n[active]
+
+    def terms(rows, i):
+        na = n[rows, None]
         lt = (
             gammaln(i + na + 1.0)
             - gammaln(i + 1.0)
             + i * log_nu
             - gammaln(kappa * (i + na) + 1.0)
         )
-        term = (-1.0) ** i * np.exp(prefix[active] + lt)
-        total[active] += term
-        peak[active] = np.maximum(peak[active], np.abs(term))
-        runs = np.where(np.abs(term) <= 1e-16 * np.maximum(np.abs(total[active]), 1e-300),
-                        small_runs[active] + 1, 0)
-        small_runs[active] = runs
-        done = runs >= 3
-        if done.any():
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
-        if not active.any():
-            return total, peak
-    raise EvaluationError("fractional Poisson pmf series did not converge")
+        return (-1.0) ** i * np.exp(prefix[rows, None] + lt)
+
+    total, peak, unconverged = _sum_series(
+        terms, 0, np.zeros(n.shape), 3, 1e-16, _FP_SERIES_MAX_TERMS
+    )
+    if unconverged.any():
+        raise EvaluationError("fractional Poisson pmf series did not converge")
+    return total, peak
 
 
 @lru_cache(maxsize=32)
 def _mixture_nodes(kappa: float, u_hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on [0, u_hi] with mixing density precomputed."""
-    xg, wg = roots_legendre(10)
-    edges = np.linspace(0.0, u_hi, n_panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    mid, hw = (lo + hi) / 2.0, (hi - lo) / 2.0
-    u = (mid[:, None] + hw[:, None] * xg[None, :]).ravel()
-    w = (hw[:, None] * wg[None, :]).ravel()
-    dens = MittagLefflerLaw(kappa).density(u)
-    return u, w, dens
+    u, w = _gl_panels(np.linspace(0.0, u_hi, n_panels + 1), 10)
+    return u, w, MittagLefflerLaw(kappa).density(u)
 
 
 def _fp_pmf_mixture(nu: float, kappa: float, n: np.ndarray) -> np.ndarray:
@@ -364,12 +336,7 @@ def _nml_core(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     cut = _NML_GAUSS_CUT if kappa == 1.0 else _NML_CORE_CUT
     width = np.pi / (2.0 * _NML_YMAX)
     n_panels = int(np.ceil(cut / width))
-    edges = np.linspace(0.0, cut, n_panels + 1)
-    xg, wg = roots_legendre(12)
-    lo, hi = edges[:-1], edges[1:]
-    mid, hw = (lo + hi) / 2.0, (hi - lo) / 2.0
-    t = (mid[:, None] + hw[:, None] * xg[None, :]).ravel()
-    w = (hw[:, None] * wg[None, :]).ravel()
+    t, w = _gl_panels(np.linspace(0.0, cut, n_panels + 1), 12)
     if kappa == 1.0:
         env = np.exp(-t * t / 2.0)
     else:

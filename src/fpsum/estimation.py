@@ -38,6 +38,7 @@ from scipy.special import gammaln, psi
 
 from .distributions import NmlLaw
 from .errors import DomainError, EstimationError
+from .special_functions import _check_kappa
 
 __all__ = [
     "BoundaryFlag",
@@ -191,13 +192,6 @@ class FittedCumulants:
     excess_kurtosis: float
 
 
-def _check_kappa(kappa) -> np.ndarray:
-    kappa = np.asarray(kappa, dtype=float)
-    if not np.all((kappa > 0.0) & (kappa <= 1.0)):
-        raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
-    return kappa
-
-
 def _as_float(arr):
     return float(arr) if np.ndim(arr) == 0 else arr
 
@@ -311,7 +305,7 @@ def moment_covariance(mu, sigma2, kappa) -> np.ndarray:
     g2 = np.exp(gammaln(2.0 * kappa + 1.0))
     g3 = np.exp(gammaln(3.0 * kappa + 1.0))
     g4 = np.exp(gammaln(4.0 * kappa + 1.0))
-    cov = np.empty(np.broadcast_shapes(np.shape(mu), s2.shape, kappa.shape) + (3, 3))
+    cov = np.empty(np.broadcast_shapes(np.shape(mu), s2.shape, np.shape(kappa)) + (3, 3))
     cov[..., 0, 0] = s2 / g1
     cov[..., 0, 1] = cov[..., 1, 0] = 2.0 * mu * s2 / g1
     cov[..., 0, 2] = cov[..., 2, 0] = 24.0 * mu * s2**2 / g2 + 4.0 * mu**3 * s2 / g1
@@ -335,16 +329,32 @@ def moment_covariance(mu, sigma2, kappa) -> np.ndarray:
     return cov
 
 
+# relative rounding error of the raw kurtosis numerator past which
+# moment_map_gradient refuses the point
+_RAW_ROUNDING_LIMIT = 1e-6
+
+
 def moment_map_gradient(x, y, z) -> np.ndarray:
     """Jacobian of (M1, M2, M4) -> (mu, sigma2, kappa) at the moment point;
     broadcasts to shape (..., 3, 3).
 
     Uses Gamma'(t) = Gamma(t) psi(t) and d/dw h^{-1}(w) = 1 / h'(h^{-1}(w)).
+    The map runs in raw moments, whose kurtosis numerator
+    z - 6 x^2 y + 5 x^4 cancels once |x| dwarfs the spread.  Raises
+    EstimationError when its rounding bound eps (|z| + 6 x^2 |y| + 5 x^4)
+    exceeds 1e-6 of it, e.g. at ``population_moments(1e4, 1.0, 0.5)``;
+    ``asymptotic_covariance`` works in centered moments and has no such limit.
     """
+    numerator = z - 6.0 * x**2 * y + 5.0 * x**4
+    rounding = np.finfo(float).eps * (np.abs(z) + 6.0 * x**2 * np.abs(y) + 5.0 * x**4)
+    if np.any(rounding > _RAW_ROUNDING_LIMIT * np.abs(numerator)):
+        raise EstimationError(
+            "raw moments too far from the origin: rounding swamps the kurtosis numerator"
+        )
     d = y - x**2
     if np.any(d <= 0):
         raise EstimationError("degenerate moment point: m2 <= m1^2")
-    omega = (z - 6.0 * x**2 * y + 5.0 * x**4) / (6.0 * d**2)
+    omega = numerator / (6.0 * d**2)
     kappa, _ = h_inverse(omega)
     gk = np.exp(gammaln(kappa + 1.0))
     gk_prime = gk * psi(kappa + 1.0)
@@ -381,7 +391,7 @@ def asymptotic_covariance(mu, sigma2, kappa) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     g1, g2, g3, g4 = (np.exp(gammaln(j * kappa + 1.0)) for j in (1.0, 2.0, 3.0, 4.0))
     a2, a4, a6, a8 = s2 / g1, 6.0 * s2**2 / g2, 90.0 * s2**3 / g3, 2520.0 * s2**4 / g4
-    shape = np.broadcast_shapes(mu.shape, s2.shape, kappa.shape)
+    shape = np.broadcast_shapes(mu.shape, s2.shape, np.shape(kappa))
     # covariance of (X, X^2, X^3, X^4); the odd moments of X vanish
     sigma = np.zeros(shape + (4, 4))
     sigma[..., 0, 0] = a2

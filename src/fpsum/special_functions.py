@@ -1,4 +1,6 @@
-"""Mittag-Leffler function on the real line plus gamma-family helpers.
+"""Mittag-Leffler function on the real line, and the numerical kernels that
+every law in the package shares: the series driver ``_sum_series``, the
+Gauss-Legendre panel rule ``_gl_panels`` and the kappa check ``_check_kappa``.
 
 The one-parameter Mittag-Leffler function ``E_k(z) = sum_m z^m / Gamma(k*m + 1)``
 is entire, but its power series is useless in double precision for large
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, gammaln, psi, rgamma, roots_legendre
+from scipy.special import gammaln, rgamma, roots_legendre
 
 from .errors import DomainError, EvaluationError
 
@@ -33,9 +35,6 @@ __all__ = [
     "MlEvalConfig",
     "DEFAULT_ML_CONFIG",
     "mittag_leffler",
-    "beta",
-    "digamma",
-    "log_gamma",
 ]
 
 # Largest value of |z|**(1/k) for which the power series is trusted: the
@@ -76,11 +75,80 @@ class MlEvalConfig:
 DEFAULT_ML_CONFIG = MlEvalConfig()
 
 
-def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not 0.0 < kappa <= 1.0:
+def _check_kappa(kappa):
+    """kappa as a float, or an array of them, each in (0, 1]."""
+    # every law construction runs this check, so a float skips numpy
+    if isinstance(kappa, (float, int)) or np.ndim(kappa) == 0:
+        kappa = float(kappa)
+        valid = 0.0 < kappa <= 1.0
+    else:
+        kappa = np.asarray(kappa, dtype=float)
+        valid = np.all((kappa > 0.0) & (kappa <= 1.0))
+    if not valid:
         raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
     return kappa
+
+
+# terms per block of the series driver: a row may compute up to this many
+# terms past its stop, in exchange for one array pass per block
+_SERIES_BLOCK = 32
+
+
+def _sum_series(terms, first, total, runs, tol, max_terms, stop_nonfinite=False):
+    """Sum one series per row of a 1-d array; returns (total, peak, unconverged).
+
+    ``terms(rows, j)`` gives the terms of the 1-d indices ``j`` for the rows
+    ``rows``, shape (rows.size, j.size).  Indices run from ``first`` for
+    ``max_terms`` terms, added to the starting partial sums ``total``.  Each
+    block of terms is one array: the running total is prepended as column 0
+    and cumsummed, a left fold that rounds every partial sum as a
+    term-by-term loop would.  A row stops after ``runs`` consecutive terms
+    with |term| <= tol * max(|partial|, 1e-300) (the floor keeps a partial
+    sum passing through zero from ending the sum), or, with
+    ``stop_nonfinite``, at its first non-finite partial sum.  ``peak`` is the
+    largest |term| up to the stop; ``unconverged`` marks the rows still
+    running after ``max_terms`` terms.
+    """
+    total = np.array(total, dtype=float)
+    peak = np.zeros_like(total)
+    count = np.zeros(total.shape, dtype=int)
+    active = np.arange(total.size)
+    end = first + max_terms
+    for start in range(first, end, _SERIES_BLOCK):
+        if not active.size:
+            break
+        j = np.arange(start, min(start + _SERIES_BLOCK, end))
+        term = terms(active, j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # columns past a row's stop may overflow; they are never read
+            partial = np.cumsum(np.column_stack((total[active], term)), axis=1)[:, 1:]
+        pos = np.arange(j.size)
+        small = np.abs(term) <= tol * np.maximum(np.abs(partial), 1e-300)
+        last_big = np.maximum.accumulate(np.where(small, -1, pos), axis=1)
+        run = np.where(last_big < 0, count[active, None] + pos + 1, pos - last_big)
+        done = run >= runs
+        if stop_nonfinite:
+            done |= ~np.isfinite(partial)
+        stopped = done.any(axis=1)
+        stop = np.where(stopped, done.argmax(axis=1), j.size - 1)
+        rows = np.arange(active.size)
+        total[active] = partial[rows, stop]
+        reached = np.where(pos <= stop[:, None], np.abs(term), 0.0)
+        peak[active] = np.maximum(peak[active], reached.max(axis=1))
+        count[active] = run[rows, stop]
+        active = active[~stopped]
+    unconverged = np.zeros(total.shape, dtype=bool)
+    unconverged[active] = True
+    return total, peak, unconverged
+
+
+def _gl_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of ``order`` nodes on each panel between
+    consecutive ``edges``; returns (nodes, weights), panel by panel."""
+    xg, wg = roots_legendre(order)
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
 def _series_many(
@@ -91,28 +159,18 @@ def _series_many(
     Terms are formed in log space, so large intermediate terms overflow to
     inf (propagated to the result) rather than poisoning neighbours.
     """
-    out = np.ones_like(z)
-    floor = 1e-300
-    small_runs = np.zeros(z.shape, dtype=int)
-    active = np.ones(z.shape, dtype=bool)
     logabs = np.log(np.abs(z), out=np.full_like(z, -np.inf), where=z != 0)
     sign = np.sign(z)
-    for m in range(1, cfg.max_terms + 1):
-        if not active.any():
-            break
+
+    def terms(rows, m):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            term = sign[active] ** m * np.exp(
-                m * logabs[active] - gammaln(kappa * m + 1.0)
+            return sign[rows, None] ** m * np.exp(
+                m * logabs[rows, None] - gammaln(kappa * m + 1.0)
             )
-        out[active] = out[active] + term
-        small = np.abs(term) <= cfg.series_tol * np.maximum(np.abs(out[active]), floor)
-        runs = small_runs[active]
-        runs = np.where(small, runs + 1, 0)
-        small_runs[active] = runs
-        done = (runs >= 2) | ~np.isfinite(out[active])
-        if done.any():
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
+
+    out, _, active = _sum_series(
+        terms, 1, np.ones_like(z), 2, cfg.series_tol, cfg.max_terms, stop_nonfinite=True
+    )
     if active.any():
         # a still-growing sum with a positive argument is headed past the
         # double-precision range; report it as overflow rather than failure
@@ -138,11 +196,7 @@ def _spectral_nodes(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     graded = theta0 + span * 0.5 ** np.arange(54, 0, -1)
     uniform = np.linspace(theta0 + span * 0.5, theta_hi, 25)
     edges = np.concatenate(([theta0], graded[:-1], uniform))
-    xg, wg = roots_legendre(16)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    theta = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
+    theta, weights = _gl_panels(edges, 16)
     # u(theta) = sin(kappa*pi)*tan(theta) - cos(kappa*pi), written without
     # cancellation near its zero at theta0
     u = np.sin(theta - theta0) / np.cos(theta)
@@ -158,12 +212,7 @@ def _log_step_nodes() -> tuple[np.ndarray, np.ndarray]:
     edges = np.concatenate(
         (np.linspace(_LOG_STEP_LEFT, -4.0, 14), np.linspace(-4.0, 4.2, 42)[1:])
     )
-    xg, wg = roots_legendre(16)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    s = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return s, weights
+    return _gl_panels(edges, 16)
 
 
 # below this kappa the cut integral runs in the log variable: D(u) is
@@ -254,11 +303,7 @@ def _kanter_nodes(kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     left = half * 0.5 ** np.arange(40, 0, -1)
     right = np.pi - half * 0.5 ** np.arange(1, 41)
     edges = np.concatenate(([half * 0.5**40 * 0.5], left, right))
-    xg, wg = roots_legendre(16)
-    lo, hi = edges[:-1], edges[1:]
-    mid, hw = (lo + hi) / 2.0, (hi - lo) / 2.0
-    theta = (mid[:, None] + hw[:, None] * xg[None, :]).ravel()
-    weights = (hw[:, None] * wg[None, :]).ravel()
+    theta, weights = _gl_panels(edges, 16)
     return theta, weights, _kanter_log(kappa, theta)
 
 
@@ -297,7 +342,6 @@ def _positive_mgf_integral(kappa: float, x: np.ndarray) -> np.ndarray:
     u* = x**((1-k)/k)/k with log-height x**(1/k), by the Laplace method.
     """
     out = np.empty_like(x)
-    xg, wg = roots_legendre(12)
     for i, xi in enumerate(x):
         u_star = xi ** ((1.0 - kappa) / kappa) / kappa
         probe = u_star * np.geomspace(1e-3, 60.0, 400)
@@ -305,11 +349,7 @@ def _positive_mgf_integral(kappa: float, x: np.ndarray) -> np.ndarray:
         log_g = xi * probe - a0 * probe ** (1.0 / (1.0 - kappa))
         keep = log_g >= log_g.max() - 46.0
         u_hi = probe[keep].max() * 1.2
-        edges = np.linspace(0.0, u_hi, 121)
-        lo, hi = edges[:-1], edges[1:]
-        mid, hw = (lo + hi) / 2.0, (hi - lo) / 2.0
-        un = (mid[:, None] + hw[:, None] * xg[None, :]).ravel()
-        wn = (hw[:, None] * wg[None, :]).ravel()
+        un, wn = _gl_panels(np.linspace(0.0, u_hi, 121), 12)
         log_terms = xi * un + _mixing_density_log(kappa, un)
         shift = log_terms.max()
         with np.errstate(over="ignore", under="ignore"):
@@ -395,31 +435,3 @@ def mittag_leffler(kappa, z, cfg: MlEvalConfig = DEFAULT_ML_CONFIG):
         out[rest] = vals
 
     return float(out[0]) if scalar else out
-
-
-def digamma(x):
-    """Digamma function Gamma'(x)/Gamma(x) for x > 0, elementwise."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise DomainError("digamma requires x > 0")
-    out = psi(x_arr)
-    return float(out) if x_arr.ndim == 0 else out
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0, elementwise."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise DomainError("log_gamma requires x > 0")
-    out = gammaln(x_arr)
-    return float(out) if x_arr.ndim == 0 else out
-
-
-def beta(a, b):
-    """Beta function Gamma(a)Gamma(b)/Gamma(a+b) for a, b > 0."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr <= 0) or np.any(b_arr <= 0):
-        raise DomainError("beta requires positive arguments")
-    out = np.exp(betaln(a_arr, b_arr))
-    return float(out) if a_arr.ndim == 0 and b_arr.ndim == 0 else out

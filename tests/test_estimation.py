@@ -246,6 +246,13 @@ class TestCovariance:
             fd[:, j] = (hi - lo) / (2 * delta[j])
         assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)) <= 1e-6
 
+    @pytest.mark.parametrize("point", [(1e4, 1.0, 0.5), (1e8, 1e-6, 0.5)])
+    def test_gradient_refuses_rounding_dominated_point(self, point):
+        # raw moments far from the origin: at 1e4 the kappa row came back as
+        # ~(-3e17, 2e13, -4e4) and at 1e8 as a "degenerate moment point"
+        with pytest.raises(EstimationError, match="rounding swamps"):
+            moment_map_gradient(*population_moments(*point))
+
     @pytest.mark.parametrize("point", [(0.5, 1.0, 0.8), (-0.3, 0.5, 0.3), (2.0, 0.3, 0.05)])
     def test_matches_raw_moment_delta_method(self, point):
         # reference: grad_g Sigma grad_g^T in the raw moments (M1, M2, M4);

@@ -5,14 +5,11 @@ from scipy.special import erfc, gammaln
 
 from fpsum.errors import DomainError, EvaluationError
 from fpsum.special_functions import (
+    _SERIES_BLOCK,
     MlEvalConfig,
-    beta,
-    digamma,
-    log_gamma,
+    _sum_series,
     mittag_leffler,
 )
-
-EULER_GAMMA = 0.5772156649015329
 
 
 class TestMittagLeffler:
@@ -103,50 +100,73 @@ class TestMittagLeffler:
             assert np.all(np.diff(vals) >= -1e-15)
 
 
-class TestGammaFamily:
-    def test_digamma_values(self):
-        assert_allclose(digamma(1.0), -EULER_GAMMA, rtol=1e-12)
-        assert_allclose(digamma(2.0), 1.0 - EULER_GAMMA, rtol=1e-12)
-        assert_allclose(digamma(0.5), -EULER_GAMMA - 2.0 * np.log(2.0), rtol=1e-12)
+def _per_term_loop(table, first, total, runs, tol, max_terms):
+    """The series driver's stop rule, one row and one term at a time; returns
+    (total, peak, unconverged, terms used) per row."""
+    out = []
+    for row, acc in zip(table, total):
+        acc, peak, count = float(acc), 0.0, 0
+        for used, j in enumerate(range(first, first + max_terms), start=1):
+            term = float(row[j])
+            acc += term
+            peak = max(peak, abs(term))
+            count = count + 1 if abs(term) <= tol * max(abs(acc), 1e-300) else 0
+            if count >= runs:
+                break
+        out.append((acc, peak, count < runs, used))
+    return out
 
-    def test_digamma_recurrence(self):
-        x = np.linspace(0.3, 7.0, 40)
-        assert_allclose(digamma(x + 1.0), digamma(x) + 1.0 / x, rtol=1e-12)
 
-    def test_digamma_domain(self):
-        with pytest.raises(DomainError):
-            digamma(0.0)
-        with pytest.raises(DomainError):
-            digamma(-2.0)
+class TestSeriesDriver:
+    @staticmethod
+    def _drive(table, first, total, runs, tol, max_terms):
+        def terms(rows, j):
+            return table[rows[:, None], j[None, :]]
 
-    def test_log_gamma_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-        assert_allclose(log_gamma(1.5), np.log(np.sqrt(np.pi) / 2.0), rtol=1e-13)
+        got = _sum_series(terms, first, np.asarray(total, dtype=float), runs, tol, max_terms)
+        want = _per_term_loop(table, first, total, runs, tol, max_terms)
+        for k, (w_total, w_peak, w_unconverged, _) in enumerate(want):
+            assert got[0][k] == w_total
+            assert got[1][k] == w_peak
+            assert got[2][k] == w_unconverged
+        return got, [w[3] for w in want]
 
-    def test_log_gamma_digamma_consistency(self):
-        step = 1e-5
-        for x in np.linspace(0.2, 10.0, 50):
-            fd = (log_gamma(x + step) - log_gamma(x - step)) / (2 * step)
-            assert_allclose(fd, digamma(x), rtol=1e-7)
+    def test_exponential_series_is_a_left_fold(self):
+        x = np.array([0.5, 1.0, -2.0, 3.0, 10.0])
+        j = np.arange(120)
+        table = x[:, None] ** j / np.exp(gammaln(j + 1.0))
+        (total, _, unconverged), used = self._drive(table, 0, np.zeros(5), 2, 1e-16, 120)
+        assert not unconverged.any()
+        assert_allclose(total, np.exp(x), rtol=1e-14)
+        # the 10.0 row needs more than one block
+        assert max(used) > _SERIES_BLOCK
 
-    def test_log_gamma_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
+    def test_lone_zero_term_does_not_end_the_sum(self):
+        # sin(pi*k*j) / j! at k = 1/2: every second term is exactly zero
+        j = np.arange(40)
+        table = (np.sin(np.pi * 0.5 * j) / np.exp(gammaln(j + 1.0)))[None, :]
+        (total, _, _), used = self._drive(table, 1, [0.0], 2, 1e-15, 39)
+        assert_allclose(total[0], np.sin(1.0), rtol=1e-15)
+        assert used[0] > 2
+        # a single small term would have stopped it at the first zero
+        (total, _, _), used = self._drive(table, 1, [0.0], 1, 1e-15, 39)
+        assert total[0] == 1.0 and used[0] == 2
 
-    def test_beta_values(self):
-        assert_allclose(beta(1.0, 1.0), 1.0, rtol=1e-14)
-        assert_allclose(beta(0.5, 0.5), np.pi, rtol=1e-12)
+    def test_unconverged_row_is_reported(self):
+        # the harmonic series never has a small term; the geometric one does
+        j = np.arange(1, 101, dtype=float)
+        table = np.stack((1.0 / j, 0.5**j))
+        (_, _, unconverged), used = self._drive(table, 0, [0.0, 0.0], 3, 1e-16, 100)
+        assert list(unconverged) == [True, False]
+        assert used[0] == 100
 
-    def test_beta_gamma_consistency(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a, b = rng.uniform(0.05, 20.0, 2)
-            want = np.exp(gammaln(a) + gammaln(b) - gammaln(a + b))
-            assert_allclose(beta(a, b), want, rtol=1e-12)
-
-    def test_beta_domain(self):
-        with pytest.raises(DomainError):
-            beta(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            beta(1.0, 0.0)
+    def test_stops_inside_and_across_blocks(self):
+        # row 0 stops inside the first block; row 1 has its run of small
+        # terms start two terms before the block boundary, so the count must
+        # carry into the next block (it stops at the fourth small term)
+        n = 3 * _SERIES_BLOCK
+        table = np.ones((2, n))
+        table[0, 5:] = 1e-4 * np.arange(5, n)
+        table[1, _SERIES_BLOCK - 2:] = 1e-4 * np.arange(_SERIES_BLOCK - 2, n)
+        _, used = self._drive(table, 0, [0.0, 0.0], 4, 1e-3, n)
+        assert used == [9, _SERIES_BLOCK + 2]
