@@ -42,11 +42,7 @@ from .random_sums import (
     nml_cdf,
     run_mc_tables,
 )
-from .special_functions import (
-    DEFAULT_ML_CONFIG,
-    MlEvalConfig,
-    mittag_leffler,
-)
+from .special_functions import mittag_leffler
 
 __version__ = "0.1.0"
 
@@ -55,7 +51,6 @@ __all__ = [
     "CompLaw",
     "ConvergenceReport",
     "DataError",
-    "DEFAULT_ML_CONFIG",
     "DomainError",
     "EstimationError",
     "EvaluationError",
@@ -66,7 +61,6 @@ __all__ = [
     "FractionalPoissonLaw",
     "McExperimentConfig",
     "MittagLefflerLaw",
-    "MlEvalConfig",
     "MomentSummary",
     "NmlLaw",
     "RngStream",

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,15 @@ DEMO_SIGMA2 = 0.00018
 DEMO_KAPPA = 0.49123
 DEMO_LENGTH = 2226
 DEMO_SEED = 69
+
+# the laws that density, pmf and sample build: --dist name -> (class, its
+# parameters in constructor order with their defaults; None means required)
+_LAWS = {
+    "nml": (NmlLaw, {"mu": 0.0, "sigma2": 1.0, "kappa": None}),
+    "ml": (MittagLefflerLaw, {"kappa": None}),
+    "fp": (FractionalPoissonLaw, {"nu": None, "kappa": None}),
+    "comp": (CompLaw, {"lam": None, "eta": None}),
+}
 
 
 @dataclass(frozen=True)
@@ -432,14 +441,27 @@ def cmd_ml_eval(args) -> int:
     return 0
 
 
+def _law_from_args(args):
+    """The law that --dist names, built from its flags; returns (law, parameters).
+
+    A law flag that this law does not take is a usage error, and so is a
+    missing one that has no default.
+    """
+    cls, defaults = _LAWS[args.dist]
+    given = {n: getattr(args, n) for n in args.law_flags if getattr(args, n) is not None}
+    extra = [f"--{n}" for n in given if n not in defaults]
+    if extra:
+        raise DomainError(f"--dist {args.dist} does not take {', '.join(extra)}")
+    params = {n: given.get(n, d) for n, d in defaults.items()}
+    missing = [f"--{n}" for n, v in params.items() if v is None]
+    if missing:
+        raise DomainError(f"--dist {args.dist} needs {', '.join(missing)}")
+    return cls(**params), params
+
+
 def cmd_density(args) -> int:
     x = _parse_grid(args.grid)
-    if args.dist == "nml":
-        law = NmlLaw(args.mu, args.sigma2, args.kappa)
-        params = {"mu": args.mu, "sigma2": args.sigma2, "kappa": args.kappa}
-    else:
-        law = MittagLefflerLaw(args.kappa)
-        params = {"kappa": args.kappa}
+    law, params = _law_from_args(args)
     density = np.atleast_1d(law.density(x))
     _emit(
         {
@@ -455,24 +477,11 @@ def cmd_density(args) -> int:
     return 0
 
 
-def _require(args, names):
-    missing = [f"--{n}" for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise DomainError(f"--dist {args.dist} needs {', '.join(missing)}")
-
-
 def cmd_pmf(args) -> int:
     if args.max < 0:
         raise DomainError("--max must be nonnegative")
     n = np.arange(args.max + 1)
-    if args.dist == "fp":
-        _require(args, ("nu", "kappa"))
-        law = FractionalPoissonLaw(args.nu, args.kappa)
-        params = {"nu": args.nu, "kappa": args.kappa}
-    else:
-        _require(args, ("lam", "eta"))
-        law = CompLaw(args.lam, args.eta)
-        params = {"lam": args.lam, "eta": args.eta}
+    law, params = _law_from_args(args)
     pmf = np.atleast_1d(law.pmf(n))
     _emit(
         {
@@ -492,22 +501,7 @@ def cmd_sample(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be positive")
     rng = RngStream(args.seed if args.seed is not None else 0)
-    if args.dist == "nml":
-        _require(args, ("kappa",))
-        law = NmlLaw(args.mu, args.sigma2, args.kappa)
-        params = {"mu": args.mu, "sigma2": args.sigma2, "kappa": args.kappa}
-    elif args.dist == "ml":
-        _require(args, ("kappa",))
-        law = MittagLefflerLaw(args.kappa)
-        params = {"kappa": args.kappa}
-    elif args.dist == "fp":
-        _require(args, ("nu", "kappa"))
-        law = FractionalPoissonLaw(args.nu, args.kappa)
-        params = {"nu": args.nu, "kappa": args.kappa}
-    else:
-        _require(args, ("lam", "eta"))
-        law = CompLaw(args.lam, args.eta)
-        params = {"lam": args.lam, "eta": args.eta}
+    law, params = _law_from_args(args)
     values = law.sample(rng, args.n)
     _emit(
         {
@@ -539,6 +533,10 @@ def cmd_returns(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.demo and args.returns:
+        raise DomainError("fit takes a returns/prices CSV or --demo, not both")
+    if args.seed is not None and not args.demo:
+        raise DomainError("--seed only applies to --demo")
     if args.demo:
         series = demo_series(args.seed if args.seed is not None else DEMO_SEED)
         source = "demo"
@@ -567,34 +565,17 @@ def cmd_mc_tables(args) -> int:
     payload = {
         "schema": SCHEMA_TAG,
         "kind": "mc_tables",
-        "config": {
-            "mu": config.mu,
-            "sigma2": config.sigma2,
-            "kappa_grid": list(config.kappa_grid),
-            "sample_sizes": list(config.sample_sizes),
-            "replications": config.replications,
-            "base_seed": config.base_seed,
-        },
-        "cells": [
-            {
-                "kappa": c.kappa,
-                "n": c.n,
-                "replications": c.replications,
-                "clamped_low": c.clamped_low,
-                "clamped_high": c.clamped_high,
-                "mean_est": c.mean_est,
-                "rmse": c.rmse,
-                "se_empirical": c.se_empirical,
-                "se_theoretical": c.se_theoretical,
-            }
-            for c in cells
-        ],
+        "config": asdict(config),
+        "cells": [asdict(c) for c in cells],
     }
     _emit(payload, args)
     return 0
 
 
 def cmd_converge(args) -> int:
+    unused = {"fp": "eta", "comp": "kappa"}[args.sweep]
+    if getattr(args, unused) is not None:
+        raise DomainError(f"converge {args.sweep} does not take --{unused}")
     rng = RngStream(args.seed if args.seed is not None else 0)
     report = convergence_sweep(
         args.sweep,
@@ -625,6 +606,23 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_law_flags(p, dists: tuple[str, ...]) -> None:
+    """--dist and the parameter flags of the laws it may name; a flag
+    defaults to None so that a flag given to a law without it is seen."""
+    p.add_argument("--dist", choices=dists, required=True)
+    flags = {}
+    for dist in dists:
+        for name in _LAWS[dist][1]:
+            flags.setdefault(name, []).append(dist)
+    for name, users in flags.items():
+        default = _LAWS[users[0]][1][name]
+        help_text = f"for --dist {'/'.join(users)}"
+        if default is not None:
+            help_text += f" (default {default})"
+        p.add_argument(f"--{name}", type=float, help=help_text)
+    p.set_defaults(law_flags=tuple(flags))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpsum",
@@ -632,9 +630,11 @@ def build_parser() -> argparse.ArgumentParser:
         "Normal-Mittag-Leffler law",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="json")
+    # only the commands that draw random numbers take a seed
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ml-eval", parents=[common], help="evaluate the Mittag-Leffler function")
@@ -645,30 +645,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ml_eval)
 
     p = sub.add_parser("density", parents=[common], help="density on a grid")
-    p.add_argument("--dist", choices=("nml", "ml"), required=True)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, required=True)
+    _add_law_flags(p, ("nml", "ml"))
     p.add_argument("--grid", required=True, help="lo:hi:step")
     p.set_defaults(handler=cmd_density)
 
     p = sub.add_parser("pmf", parents=[common], help="pmf table for a count law")
-    p.add_argument("--dist", choices=("fp", "comp"), required=True)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--eta", type=float)
+    _add_law_flags(p, ("fp", "comp"))
     p.add_argument("--max", type=int, required=True, help="largest count")
     p.set_defaults(handler=cmd_pmf)
 
-    p = sub.add_parser("sample", parents=[common], help="draw random variates")
-    p.add_argument("--dist", choices=("nml", "ml", "fp", "comp"), required=True)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--eta", type=float)
+    p = sub.add_parser("sample", parents=[seeded], help="draw random variates")
+    _add_law_flags(p, tuple(_LAWS))
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=cmd_sample)
 
@@ -679,10 +666,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common], help="fit models to a returns series")
     p.add_argument("returns", nargs="?", help="CSV with header date,log_return or date,close")
     p.add_argument("--demo", action="store_true", help="use the bundled synthetic series")
+    p.add_argument("--seed", type=int, help="seed of the --demo series")
     p.add_argument("--models", default="nml,normal,laplace")
     p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("mc-tables", parents=[common], help="replicated sample-fit tables")
+    p = sub.add_parser("mc-tables", parents=[seeded], help="replicated sample-fit tables")
     p.add_argument("--kappa", required=True, help="comma list")
     p.add_argument("--n", required=True, help="comma list")
     p.add_argument("--reps", type=int, default=500)
@@ -690,11 +678,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=float, default=1.0)
     p.set_defaults(handler=cmd_mc_tables)
 
-    p = sub.add_parser("converge", parents=[common], help="weak-limit KS sweep")
+    p = sub.add_parser("converge", parents=[seeded], help="weak-limit KS sweep")
     p.add_argument("sweep", choices=("fp", "comp"))
     p.add_argument("--grid", required=True, help="comma list of rates")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--eta", type=float)
+    p.add_argument("--kappa", type=float, help="for fp")
+    p.add_argument("--eta", type=float, help="for comp")
     p.add_argument("--draws", type=int, default=100_000)
     p.add_argument(
         "--summands",
@@ -734,7 +722,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_fold_negative_values(list(argv)))
     try:
-        if args.seed is not None and not 0 <= args.seed < 2**64:
+        seed = getattr(args, "seed", None)
+        if seed is not None and not 0 <= seed < 2**64:
             raise DomainError("--seed must be an unsigned 64-bit integer")
         return args.handler(args)
     except DomainError as exc:

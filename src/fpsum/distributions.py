@@ -14,7 +14,7 @@ distinct streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,8 +22,6 @@ from scipy.special import gammaln, rgamma, sici
 
 from .errors import DomainError, EvaluationError
 from .special_functions import (
-    DEFAULT_ML_CONFIG,
-    MlEvalConfig,
     _check_kappa,
     _gl_panels,
     _kanter_log,
@@ -69,14 +67,15 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
+def _as_array(x, dtype=float) -> tuple[np.ndarray, tuple]:
+    """The input flattened to 1-d, and its shape for ``_ret``."""
+    arr = np.asarray(x, dtype=dtype)
+    return arr.ravel(), arr.shape
 
 
-def _ret(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
+def _ret(values: np.ndarray, shape: tuple):
+    """1-d results back in the input's shape; a float for a scalar input."""
+    return float(values[0]) if shape == () else values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +88,16 @@ _ML_SERIES_EXPONENT_BUDGET = 3.0
 _ML_SERIES_MAX_TERMS = 700
 
 
-def _mixing_series(kappa: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating density series; returns (values, max |term|) per point.
+def _mixing_series(
+    kappa: float, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alternating density series; returns (values, max |term|, unconverged)
+    per point.
 
     sin(pi*k*j) vanishes whenever k*j is an integer, so convergence is only
-    declared after several consecutive small terms.
+    declared after several consecutive small terms.  Close to kappa = 1 the
+    terms decay like j**(-(1-k)*j), and a sum may not converge within the
+    term cap even at a small argument.
     """
     log_u = np.log(u)
 
@@ -104,10 +108,8 @@ def _mixing_series(kappa: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     total, peak, unconverged = _sum_series(
         terms, 1, np.zeros_like(u), 4, 1e-15, _ML_SERIES_MAX_TERMS - 1
     )
-    if unconverged.any():
-        raise EvaluationError("mixing density series did not converge")
     scale = np.pi * kappa
-    return total / scale, peak / scale
+    return total / scale, peak / scale, unconverged
 
 
 @dataclass(frozen=True)
@@ -124,53 +126,46 @@ class MittagLefflerLaw:
         """Density at u > 0.
 
         The alternating series is used while its largest term cannot poison
-        the sum; larger arguments go through the one-sided stable integral
-        form, whose integrand is positive.
+        the sum and it converges within its term cap; other arguments go
+        through the one-sided stable integral form, whose integrand is
+        positive.
         """
         if self.kappa == 1.0:
             raise DomainError(
                 "the kappa=1 law is a point mass at 1 and has no density"
             )
-        arr, scalar = _as_array(u)
+        arr, shape = _as_array(u)
         if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
             raise DomainError("density requires u > 0")
         kappa = self.kappa
         out = np.empty_like(arr)
         a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
-        # past kappa ~ 0.9 the alternating tail decays like j^(-(1-k)j) and
-        # outgrows the term cap even for harmless arguments; the integral
-        # branch is exact there anyway
-        if kappa > 0.9:
-            try_series = np.zeros(arr.shape, dtype=bool)
-        else:
+        with np.errstate(over="ignore"):
             try_series = a0 * arr ** (1.0 / (1.0 - kappa)) <= _ML_SERIES_EXPONENT_BUDGET
         if try_series.any():
-            vals, peaks = _mixing_series(kappa, arr[try_series])
-            safe = peaks <= 4e4 * np.abs(vals)
+            vals, peaks, unconverged = _mixing_series(kappa, arr[try_series])
+            safe = (peaks <= 4e4 * np.abs(vals)) & ~unconverged
             picked = np.flatnonzero(try_series)
             out[picked[safe]] = vals[safe]
-            bad = picked[~safe]
-            sel = np.zeros(arr.shape, dtype=bool)
-            sel[bad] = True
-            try_series &= ~sel
+            try_series[picked[~safe]] = False
         rest = ~try_series
         if rest.any():
             with np.errstate(over="ignore", under="ignore"):
                 out[rest] = np.exp(_mixing_density_log(kappa, arr[rest]))
-        return _ret(out, scalar)
+        return _ret(out, shape)
 
     def sample(self, rng: RngStream, size=None):
         """Exact draws via U = (W / A(Theta))**(1-kappa) with Theta uniform on
         (0, pi) and W unit exponential (one-sided stable transformation)."""
-        if self.kappa == 1.0:
-            out = np.ones(size if size is not None else 1)
-            return _ret(out, size is None)
-        gen = rng.generator
         n = size if size is not None else 1
-        theta = gen.uniform(0.0, np.pi, n)
-        w = gen.standard_exponential(n)
-        out = np.exp((1.0 - self.kappa) * (np.log(w) - _kanter_log(self.kappa, theta)))
-        return _ret(out, size is None)
+        if self.kappa == 1.0:
+            out = np.ones(n)
+        else:
+            gen = rng.generator
+            theta = gen.uniform(0.0, np.pi, n)
+            w = gen.standard_exponential(n)
+            out = np.exp((1.0 - self.kappa) * (np.log(w) - _kanter_log(self.kappa, theta)))
+        return float(out[0]) if size is None else out
 
     def mean(self) -> float:
         return math.exp(-gammaln(self.kappa + 1.0))
@@ -237,7 +232,6 @@ class FractionalPoissonLaw:
 
     nu: float
     kappa: float
-    ml_config: MlEvalConfig = field(default=DEFAULT_ML_CONFIG, compare=False)
 
     def __post_init__(self):
         if not self.nu > 0 or not np.isfinite(self.nu):
@@ -254,9 +248,7 @@ class FractionalPoissonLaw:
                        pointer at the mixture branch when unsafe;
             "mixture"  quadrature against the mixing density only.
         """
-        arr = np.asarray(n)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, shape = _as_array(n, dtype=None)
         if not np.issubdtype(arr.dtype, np.integer):
             raise DomainError("counts must be integers")
         if np.any(arr < 0):
@@ -266,33 +258,32 @@ class FractionalPoissonLaw:
         narr = arr.astype(float)
         if self.kappa == 1.0:
             out = np.exp(narr * math.log(self.nu) - self.nu - gammaln(narr + 1.0))
-            return _ret(out, scalar)
+            return _ret(out, shape)
         if branch == "mixture":
-            return _ret(_fp_pmf_mixture(self.nu, self.kappa, narr), scalar)
+            return _ret(_fp_pmf_mixture(self.nu, self.kappa, narr), shape)
 
         series_feasible = self.nu ** (1.0 / self.kappa) <= 25.0
         if series_feasible:
             vals, peaks = _fp_pmf_series(self.nu, self.kappa, narr)
             safe = peaks <= 4e4 * np.maximum(np.abs(vals), 1e-300)
             if safe.all():
-                return _ret(vals, scalar)
+                return _ret(vals, shape)
             if branch == "auto":
                 vals[~safe] = _fp_pmf_mixture(self.nu, self.kappa, narr[~safe])
-                return _ret(vals, scalar)
+                return _ret(vals, shape)
         if branch == "series":
             raise EvaluationError(
                 f"pmf series is unstable at nu={self.nu}, kappa={self.kappa}; "
                 "use the mixture quadrature branch"
             )
-        return _ret(_fp_pmf_mixture(self.nu, self.kappa, narr), scalar)
+        return _ret(_fp_pmf_mixture(self.nu, self.kappa, narr), shape)
 
     def pgf(self, s):
         """Probability generating function at |s| <= 1."""
-        arr, scalar = _as_array(s)
+        arr, shape = _as_array(s)
         if np.any(np.abs(arr) > 1.0):
             raise DomainError("pgf requires |s| <= 1")
-        out = mittag_leffler(self.kappa, self.nu * (arr - 1.0), self.ml_config)
-        return _ret(np.atleast_1d(out), scalar)
+        return _ret(mittag_leffler(self.kappa, self.nu * (arr - 1.0)), shape)
 
     def mean_var(self) -> tuple[float, float]:
         """Exact mean and variance."""
@@ -433,10 +424,10 @@ class NmlLaw:
     def density(self, x):
         """Density f(x), evaluated by oscillatory quadrature of the inversion
         integral; symmetric about mu and accurate to ~1e-9 absolute."""
-        arr, scalar = _as_array(x)
+        arr, shape = _as_array(x)
         z = (arr - self.mu) / self.sigma
         out = _nml_standard_density(self.kappa, z) / self.sigma
-        return _ret(out, scalar)
+        return _ret(out, shape)
 
     def moment(self, n: int) -> float:
         """Exact n-th raw moment E(X^n) as a finite sum."""
@@ -485,7 +476,7 @@ class NmlLaw:
         u = MittagLefflerLaw(self.kappa).sample(rng, n)
         z = gen.standard_normal(n)
         out = self.mu + self.sigma * np.sqrt(u) * z
-        return _ret(out, size is None)
+        return float(out[0]) if size is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +484,9 @@ class NmlLaw:
 # ---------------------------------------------------------------------------
 
 _COMP_MAX_TABLE = 5_000_000
+# the normalizing series is cut where a term falls below this share of the
+# partial sum (and never before mode + 20 sd)
+_COMP_TRUNC_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -501,15 +495,12 @@ class CompLaw:
 
     lam: float
     eta: float
-    trunc_tol: float = 1e-14
 
     def __post_init__(self):
         if not self.lam > 0 or not np.isfinite(self.lam):
             raise DomainError(f"lam must be positive and finite, got {self.lam}")
         if not self.eta > 0 or not np.isfinite(self.eta):
             raise DomainError(f"eta must be positive and finite, got {self.eta}")
-        if not self.trunc_tol > 0:
-            raise DomainError("trunc_tol must be positive")
 
     def _horizon(self) -> int:
         mode = self.lam ** (1.0 / self.eta)
@@ -520,7 +511,7 @@ class CompLaw:
         """Log-weights log(lam^j / (j!)^eta) out to the truncation horizon.
 
         The horizon is the larger of mode + 20 sd and the point where the
-        term-to-partial-sum ratio falls below trunc_tol.
+        term-to-partial-sum ratio falls below _COMP_TRUNC_TOL.
         """
         j_min = self._horizon()
         if j_min > _COMP_MAX_TABLE:
@@ -536,7 +527,7 @@ class CompLaw:
             lt = j * log_lam - self.eta * gammaln(j + 1.0)
             shift = lt.max()
             partial = shift + math.log(np.exp(lt - shift).sum())
-            if lt[-1] - partial < math.log(self.trunc_tol) and j_hi > j_min:
+            if lt[-1] - partial < math.log(_COMP_TRUNC_TOL) and j_hi > j_min:
                 return lt
             if j_hi > _COMP_MAX_TABLE:
                 tail = math.exp(lt[-1] - partial)
@@ -561,9 +552,7 @@ class CompLaw:
         return self._table[1]
 
     def pmf(self, j):
-        arr = np.asarray(j)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, shape = _as_array(j, dtype=None)
         if not np.issubdtype(arr.dtype, np.integer):
             raise DomainError("counts must be integers")
         if np.any(arr < 0):
@@ -572,7 +561,7 @@ class CompLaw:
         out = np.zeros(arr.shape, dtype=float)
         inside = arr < lt.size
         out[inside] = np.exp(lt[arr[inside]] - log_h)
-        return _ret(out, scalar)
+        return _ret(out, shape)
 
     def mean_var(self) -> tuple[float, float]:
         """Mean and variance by term-weighted sums over the truncated series."""

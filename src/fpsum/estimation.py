@@ -38,7 +38,7 @@ from scipy.special import gammaln, psi
 
 from .distributions import NmlLaw
 from .errors import DomainError, EstimationError
-from .special_functions import _check_kappa
+from .special_functions import _check_kappas
 
 __all__ = [
     "BoundaryFlag",
@@ -220,13 +220,13 @@ def h_prime(kappa):
     return _as_float(_h_prime(arr, _h(arr)))
 
 
-def _invert_h(omega: np.ndarray, kappa_floor: float) -> tuple[np.ndarray, np.ndarray]:
+def _invert_h(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve h(kappa) = omega elementwise on a 1-d array; returns kappa and
     integer flag codes.
 
-    Every interior element is bisected on [kappa_floor, 1] until its bracket
+    Every interior element is bisected on [KAPPA_FLOOR, 1] until its bracket
     is narrower than 1e-6, then Newton-polished until |h - omega| <= 1e-12
-    or a step would leave [kappa_floor, 1].  Each element stops on its own.
+    or a step would leave [KAPPA_FLOOR, 1].  Each element stops on its own.
     """
     if not np.all(np.isfinite(omega)):
         raise DomainError("omega must be finite")
@@ -235,10 +235,10 @@ def _invert_h(omega: np.ndarray, kappa_floor: float) -> tuple[np.ndarray, np.nda
     codes[omega < 0.5] = _CLAMPED_HIGH
     low = omega >= 1.0
     codes[low] = _CLAMPED_LOW
-    kappa[low] = kappa_floor
+    kappa[low] = KAPPA_FLOOR
     interior = np.flatnonzero((omega > 0.5) & (omega < 1.0))
     target = omega[interior]
-    lo = np.full(target.shape, kappa_floor)
+    lo = np.full(target.shape, KAPPA_FLOOR)
     hi = np.ones_like(target)
     active = np.arange(target.size)
     while True:
@@ -259,14 +259,14 @@ def _invert_h(omega: np.ndarray, kappa_floor: float) -> tuple[np.ndarray, np.nda
         if not active.size:
             break
         nxt = root[active] - resid / _h_prime(root[active], value)
-        inside = (kappa_floor <= nxt) & (nxt <= 1.0)
+        inside = (KAPPA_FLOOR <= nxt) & (nxt <= 1.0)
         active = active[inside]
         root[active] = nxt[inside]
-    kappa[interior] = np.clip(root, kappa_floor, 1.0)
+    kappa[interior] = np.clip(root, KAPPA_FLOOR, 1.0)
     return kappa, codes
 
 
-def h_inverse(omega, kappa_floor: float = KAPPA_FLOOR):
+def h_inverse(omega):
     """Invert h by bisection plus Newton polish.
 
     omega in [1/2, 1) has an interior solution; values outside are clamped to
@@ -275,7 +275,7 @@ def h_inverse(omega, kappa_floor: float = KAPPA_FLOOR):
     object array of flags, both of its shape.
     """
     arr = np.asarray(omega, dtype=float)
-    kappa, codes = _invert_h(arr.ravel(), kappa_floor)
+    kappa, codes = _invert_h(arr.ravel())
     if arr.ndim == 0:
         return float(kappa[0]), _FLAGS[codes[0]]
     return kappa.reshape(arr.shape), _FLAGS[codes].reshape(arr.shape)
@@ -283,7 +283,7 @@ def h_inverse(omega, kappa_floor: float = KAPPA_FLOOR):
 
 def population_moments(mu, sigma2, kappa):
     """Exact (E Y, E Y^2, E Y^4) of the location-scale law; broadcasts."""
-    kappa = _check_kappa(kappa)
+    kappa = _check_kappas(kappa)
     a = np.exp(-gammaln(kappa + 1.0))
     b = 6.0 * np.exp(-gammaln(2.0 * kappa + 1.0))
     m1 = mu
@@ -297,7 +297,7 @@ def moment_covariance(mu, sigma2, kappa) -> np.ndarray:
 
     Array arguments broadcast and give a stack of matrices, shape (..., 3, 3).
     """
-    kappa = _check_kappa(kappa)
+    kappa = _check_kappas(kappa)
     s2 = np.asarray(sigma2, dtype=float)
     if not np.all(s2 > 0):
         raise DomainError("sigma2 must be positive")
@@ -384,7 +384,7 @@ def asymptotic_covariance(mu, sigma2, kappa) -> np.ndarray:
     c4 + 4 M1 c3 has gradient (-12 mu a2, 0, 4 mu, 1).
     Array arguments broadcast and give a stack of matrices, shape (..., 3, 3).
     """
-    kappa = _check_kappa(kappa)
+    kappa = _check_kappas(kappa)
     s2 = np.asarray(sigma2, dtype=float)
     if not np.all(s2 > 0):
         raise DomainError("sigma2 must be positive")
@@ -436,7 +436,7 @@ def mm_fit_many(n, m1, variance, kurtosis_numerator) -> FitBatch:
     if np.any(d <= 0):
         raise EstimationError("degenerate sample: zero variance")
     omega = np.asarray(kurtosis_numerator, dtype=float) / (6.0 * d**2)
-    kappa_hat, codes = _invert_h(omega, KAPPA_FLOOR)
+    kappa_hat, codes = _invert_h(omega)
     sigma2_hat = d * np.exp(gammaln(kappa_hat + 1.0))
     cov = asymptotic_covariance(m1, sigma2_hat, kappa_hat)
     se = np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0) / sizes[..., None])

@@ -25,6 +25,7 @@ from scipy.special import ndtr
 from .distributions import CompLaw, FractionalPoissonLaw, NmlLaw, RngStream
 from .errors import DomainError
 from .estimation import BoundaryFlag, MomentSummary, mm_fit_many
+from .special_functions import _check_kappa
 
 __all__ = [
     "SummandSpec",
@@ -184,7 +185,7 @@ def _nml_cdf_grid(kappa: float) -> tuple[np.ndarray, np.ndarray]:
 
 def nml_cdf(kappa: float, x) -> np.ndarray:
     """Cdf of the standard law, interpolated linearly from its cached table."""
-    grid, cdf = _nml_cdf_grid(kappa)
+    grid, cdf = _nml_cdf_grid(_check_kappa(kappa))
     return np.interp(np.asarray(x, dtype=float), grid, cdf, left=0.0, right=1.0)
 
 

@@ -23,7 +23,6 @@ therefore split into three branches:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,11 +30,7 @@ from scipy.special import gammaln, rgamma, roots_legendre
 
 from .errors import DomainError, EvaluationError
 
-__all__ = [
-    "MlEvalConfig",
-    "DEFAULT_ML_CONFIG",
-    "mittag_leffler",
-]
+__all__ = ["mittag_leffler"]
 
 # Largest value of |z|**(1/k) for which the power series is trusted: the
 # cancellation error is ~eps * exp(|z|**(1/k)), so 4.6 keeps it near 1e-14
@@ -46,45 +41,33 @@ _SERIES_EXPONENT_BUDGET = 4.6
 _SPECTRAL_X_MIN = 0.25
 
 _ASYMPTOTIC_MAX_TERMS = 12
+# smallest |z| at which the expansion is tried for a negative z
+_ASYMPTOTIC_THRESHOLD = 50.0
+
+# the E_k power series stops after 2 consecutive terms below _ML_SERIES_TOL
+# relative to its partial sum (see _sum_series), or fails after _ML_MAX_TERMS
+_ML_SERIES_TOL = 1e-14
+_ML_MAX_TERMS = 500
 
 
-@dataclass(frozen=True)
-class MlEvalConfig:
-    """Evaluation controls for the Mittag-Leffler function.
-
-    series_tol is relative to the running partial sum, with an absolute
-    floor of 1e-300 so that convergence is never declared against a partial
-    sum that happens to pass through zero.
-    """
-
-    series_tol: float = 1e-14
-    max_terms: int = 500
-    asymptotic_threshold: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not self.series_tol > 0:
-            raise DomainError(f"series_tol must be positive, got {self.series_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not self.asymptotic_threshold > 0:
-            raise DomainError(
-                f"asymptotic_threshold must be positive, got {self.asymptotic_threshold}"
-            )
-
-
-DEFAULT_ML_CONFIG = MlEvalConfig()
-
-
-def _check_kappa(kappa):
-    """kappa as a float, or an array of them, each in (0, 1]."""
+def _check_kappa(kappa) -> float:
+    """kappa as a float in (0, 1]; a law and E_k take a single kappa."""
     # every law construction runs this check, so a float skips numpy
+    if not isinstance(kappa, (float, int)) and np.ndim(kappa) != 0:
+        raise DomainError(f"kappa must be a scalar, got shape {np.shape(kappa)}")
+    kappa = float(kappa)
+    if not 0.0 < kappa <= 1.0:
+        raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
+    return kappa
+
+
+def _check_kappas(kappa):
+    """kappa as a float, or an array of them, each in (0, 1]; the moment
+    estimator broadcasts over kappa."""
     if isinstance(kappa, (float, int)) or np.ndim(kappa) == 0:
-        kappa = float(kappa)
-        valid = 0.0 < kappa <= 1.0
-    else:
-        kappa = np.asarray(kappa, dtype=float)
-        valid = np.all((kappa > 0.0) & (kappa <= 1.0))
-    if not valid:
+        return _check_kappa(kappa)
+    kappa = np.asarray(kappa, dtype=float)
+    if not np.all((kappa > 0.0) & (kappa <= 1.0)):
         raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
     return kappa
 
@@ -151,9 +134,7 @@ def _gl_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
-def _series_many(
-    kappa: float, z: np.ndarray, cfg: MlEvalConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _series_many(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Power series for an array of arguments; returns (values, failed mask).
 
     Terms are formed in log space, so large intermediate terms overflow to
@@ -169,7 +150,7 @@ def _series_many(
             )
 
     out, _, active = _sum_series(
-        terms, 1, np.ones_like(z), 2, cfg.series_tol, cfg.max_terms, stop_nonfinite=True
+        terms, 1, np.ones_like(z), 2, _ML_SERIES_TOL, _ML_MAX_TERMS, stop_nonfinite=True
     )
     if active.any():
         # a still-growing sum with a positive argument is headed past the
@@ -357,14 +338,13 @@ def _positive_mgf_integral(kappa: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def mittag_leffler(kappa, z, cfg: MlEvalConfig = DEFAULT_ML_CONFIG):
+def mittag_leffler(kappa, z):
     """Evaluate E_kappa(z) for real z, elementwise over array input.
 
     Parameters
     ----------
     kappa : float in (0, 1]
     z : float or array_like
-    cfg : MlEvalConfig, optional
 
     Returns
     -------
@@ -373,10 +353,10 @@ def mittag_leffler(kappa, z, cfg: MlEvalConfig = DEFAULT_ML_CONFIG):
     Raises
     ------
     DomainError
-        If kappa is outside (0, 1] or z is not finite.
+        If kappa is not a scalar in (0, 1] or z is not finite.
     EvaluationError
-        If the power series branch fails to converge within ``cfg.max_terms``
-        and no other branch covers the argument.
+        If the power series branch fails to converge within
+        ``_ML_MAX_TERMS`` terms and no other branch covers the argument.
     """
     kappa = _check_kappa(kappa)
     z_arr = np.asarray(z, dtype=float)
@@ -401,14 +381,14 @@ def mittag_leffler(kappa, z, cfg: MlEvalConfig = DEFAULT_ML_CONFIG):
     series_mask = ~pos_big & ((z_arr >= 0) | (exponent <= _SERIES_EXPONENT_BUDGET))
     if series_mask.any():
         sub = z_arr[series_mask]
-        vals, failed = _series_many(kappa, sub, cfg)
+        vals, failed = _series_many(kappa, sub)
         if failed.any():
             # slow convergence (small kappa): cover stragglers with the cut
             # integral (negative axis) or the mixing-density transform (positive)
             if not np.all((sub[failed] < -_SPECTRAL_X_MIN) | (sub[failed] > 0)):
                 raise EvaluationError(
                     "Mittag-Leffler power series branch did not converge "
-                    f"within max_terms={cfg.max_terms}"
+                    f"within max_terms={_ML_MAX_TERMS}"
                 )
             neg = failed & (sub < 0)
             pos = failed & (sub > 0)
@@ -423,7 +403,7 @@ def mittag_leffler(kappa, z, cfg: MlEvalConfig = DEFAULT_ML_CONFIG):
         xr = x[rest]
         vals = np.empty_like(xr)
         accepted = np.zeros(xr.shape, dtype=bool)
-        candidates = xr >= cfg.asymptotic_threshold
+        candidates = xr >= _ASYMPTOTIC_THRESHOLD
         if candidates.any():
             av, bound = _asymptotic_many(kappa, xr[candidates])
             good = bound <= 1e-15 * np.abs(av)

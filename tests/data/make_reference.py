@@ -11,6 +11,8 @@ independent of the library's own evaluation paths:
                    below 1e-16 relative.
 * ``ml_pos``    -- positive arguments, series or exponential+algebraic form.
 * ``mixing``    -- the mixing density by its power series at high precision.
+* ``mixing_high_kappa`` -- the same series at kappa 0.95 and 0.99, where
+                   the terms decay slowest.
 * ``nml``       -- the mixture integral of a normal kernel against the mixing
                    density, by mpmath adaptive quadrature.
 * ``comp_logh`` -- brute-force truncated sums of the normalizing series.
@@ -164,7 +166,8 @@ def comp_log_normalizer_mp(lam, eta, dps=40):
 
 
 def main():
-    out = {"ml": [], "ml_pos": [], "mixing": [], "nml": [], "comp_logh": []}
+    out = {"ml": [], "ml_pos": [], "mixing": [], "nml": [], "comp_logh": [],
+           "mixing_high_kappa": []}
 
     kappas = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99]
     zs = [-50.0, -35.0, -20.0, -12.0, -8.0, -5.0, -3.0, -2.0, -1.4, -1.0,
@@ -198,6 +201,10 @@ def main():
     for lam, eta in [(2.0, 1.0), (1.5, 0.5), (3.0, 1.5), (100.0, 2.0), (400.0, 2.0),
                      (2.0, 1.5), (10.0, 0.8)]:
         out["comp_logh"].append([lam, eta, float(comp_log_normalizer_mp(lam, eta))])
+
+    for kap in [0.95, 0.99]:
+        for u in [1e-3, 0.05, 0.2, 0.5, 0.8, 1.0]:
+            out["mixing_high_kappa"].append([kap, u, float(mixing_density_mp(kap, u))])
 
     path = pathlib.Path(__file__).with_name("reference.json")
     path.write_text(json.dumps(out, indent=1))

@@ -319,3 +319,48 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1,2\n")
         assert main(["returns", str(bad)]) == 4
+
+
+class TestUnusedFlags:
+    """A flag that the command does not use is a usage error naming it."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sample", "--dist", "comp", "--lam", "3", "--eta", "1.5", "--kappa", "0.5",
+              "--n", "5"], "--kappa"),
+            (["density", "--dist", "ml", "--kappa", "0.5", "--mu", "5", "--grid", "1:2:1"],
+             "--mu"),
+            (["pmf", "--dist", "fp", "--nu", "2", "--kappa", "0.7", "--lam", "2", "--max", "5"],
+             "--lam"),
+            (["converge", "comp", "--eta", "2", "--kappa", "0.5", "--grid", "10",
+              "--draws", "100"], "--kappa"),
+            (["converge", "fp", "--kappa", "0.5", "--eta", "2", "--grid", "10",
+              "--draws", "100"], "--eta"),
+        ],
+        ids=["sample-comp-kappa", "density-ml-mu", "pmf-fp-lam", "converge-comp-kappa",
+             "converge-fp-eta"],
+    )
+    def test_flag_of_another_law(self, argv, flag, capsys):
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_ml_eval_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ml-eval", "--kappa", "0.5", "--z", "-1", "--seed", "3"])
+        assert excinfo.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_fit_takes_seed_only_with_demo(self, tmp_path, capsys):
+        path = write_prices(tmp_path, [100, 101, 103, 102, 104, 105, 103])
+        assert main(["fit", str(path), "--seed", "3"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_fit_takes_a_csv_or_demo_not_both(self, tmp_path, capsys):
+        path = write_prices(tmp_path, [100, 101, 103, 102, 104, 105, 103])
+        assert main(["fit", str(path), "--demo"]) == 2
+        assert "--demo" in capsys.readouterr().err
+
+    def test_missing_law_flag(self, capsys):
+        assert main(["pmf", "--dist", "comp", "--lam", "3", "--max", "5"]) == 2
+        assert "--eta" in capsys.readouterr().err

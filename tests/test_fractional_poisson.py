@@ -57,6 +57,8 @@ class TestPmf:
             law.pmf(0.5)
         with pytest.raises(DomainError):
             FractionalPoissonLaw(0.0, 0.5)
+        with pytest.raises(DomainError, match="scalar"):
+            FractionalPoissonLaw(1.0, np.array([0.5]))
 
 
 class TestPgf:

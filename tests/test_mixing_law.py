@@ -15,7 +15,7 @@ class TestDensity:
         assert_allclose(law.density(u), np.exp(-u * u / 4) / np.sqrt(np.pi), rtol=1e-10)
 
     def test_against_reference(self, reference):
-        for kappa, u, want in reference["mixing"]:
+        for kappa, u, want in reference["mixing"] + reference["mixing_high_kappa"]:
             got = MittagLefflerLaw(kappa).density(u)
             assert_allclose(got, want, rtol=1e-9, err_msg=f"kappa={kappa}, u={u}")
 
@@ -42,6 +42,8 @@ class TestDensity:
             MittagLefflerLaw(1.0).density(1.0)
         with pytest.raises(DomainError):
             MittagLefflerLaw(1.2)
+        with pytest.raises(DomainError, match="scalar"):
+            MittagLefflerLaw(np.array([0.5, 0.6]))
 
 
 class TestSampler:

@@ -99,6 +99,8 @@ class TestDensity:
             NmlLaw(0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             NmlLaw(np.inf, 1.0, 0.5)
+        with pytest.raises(DomainError, match="scalar"):
+            NmlLaw(0.0, 1.0, [0.5, 0.6])
 
 
 class TestMoments:

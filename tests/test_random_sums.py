@@ -147,6 +147,12 @@ class TestNmlCdf:
         np.testing.assert_allclose(nml_cdf(kappa, -y), 1.0 - f, rtol=0, atol=1e-15)
         assert nml_cdf(kappa, -np.inf) == 0.0 and nml_cdf(kappa, np.inf) == 1.0
 
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            nml_cdf(1.5, 0.0)
+        with pytest.raises(DomainError, match="scalar"):
+            nml_cdf(np.array([0.5, 0.6]), 0.0)
+
     def test_sweep_distances_frozen(self):
         # KS distances recorded while the cdf table was a 9001-point trapezoid
         # of the density; the exactly integrated interpolant moves them < 1e-6

@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 from scipy.special import erfc, gammaln
 
 from fpsum.errors import DomainError, EvaluationError
+from fpsum import special_functions
 from fpsum.special_functions import (
     _SERIES_BLOCK,
-    MlEvalConfig,
     _sum_series,
     mittag_leffler,
 )
@@ -77,19 +77,13 @@ class TestMittagLeffler:
             mittag_leffler(1.5, -1.0)
         with pytest.raises(DomainError):
             mittag_leffler(0.5, np.inf)
+        with pytest.raises(DomainError, match="scalar"):
+            mittag_leffler(np.array([0.5, 0.6]), -1.0)
 
-    def test_series_nonconvergence_names_branch(self):
-        cfg = MlEvalConfig(max_terms=2)
+    def test_series_nonconvergence_names_branch(self, monkeypatch):
+        monkeypatch.setattr(special_functions, "_ML_MAX_TERMS", 2)
         with pytest.raises(EvaluationError, match="series"):
-            mittag_leffler(0.5, -0.2, cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            MlEvalConfig(series_tol=0.0)
-        with pytest.raises(DomainError):
-            MlEvalConfig(max_terms=0)
-        with pytest.raises(DomainError):
-            MlEvalConfig(asymptotic_threshold=-1.0)
+            mittag_leffler(0.5, -0.2)
 
     def test_branch_seams_are_smooth(self):
         # values on a fine grid spanning the series/integral/asymptotic
