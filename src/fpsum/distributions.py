@@ -210,11 +210,23 @@ def _mixture_nodes(kappa: float, u_hi: float, n_panels: int) -> tuple[np.ndarray
 
 def _fp_pmf_mixture(nu: float, kappa: float, n: np.ndarray) -> np.ndarray:
     """Conditionally-Poisson quadrature: integral of Poisson(n; nu*u) against
-    the mixing density."""
+    the mixing density.
+
+    The largest count's integrand has log-shape
+    n_max*log(nu*u) - nu*u - a0*u**(1/(1-k)) (Laplace); the range ends past
+    the point where that falls 46 below its peak, and never before u_tail,
+    where the mixing density's own decay exp(-a0*u**(1/(1-k))) reaches
+    exp(-46).
+    """
     a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
     u_tail = (46.0 / a0) ** (1.0 - kappa)
     n_max = float(n.max())
-    u_hi = max(u_tail, (n_max + 12.0 * math.sqrt(n_max + 1.0) + 12.0) / nu)
+    poisson_hi = (n_max + 12.0 * math.sqrt(n_max + 1.0) + 12.0) / nu
+    probe = max(u_tail, poisson_hi) * np.geomspace(1e-6, 1.0, 400)
+    with np.errstate(over="ignore"):
+        log_g = n_max * np.log(nu * probe) - nu * probe - a0 * probe ** (1.0 / (1.0 - kappa))
+    keep = log_g >= log_g.max() - 46.0
+    u_hi = max(u_tail, probe[keep].max() * 1.2)
     n_panels = int(min(2000, max(64, 8.0 * u_hi * nu / math.sqrt(n_max + 1.0), 4 * u_hi)))
     u, w, dens = _mixture_nodes(kappa, u_hi, n_panels)
     log_pois = (
@@ -242,8 +254,8 @@ class FractionalPoissonLaw:
         """P(N = n) for integer n >= 0.
 
         branch:
-            "auto"     series where cancellation-safe, otherwise mixture
-                       quadrature;
+            "auto"     series where its estimated error is ~1e-10 or less,
+                       otherwise mixture quadrature;
             "series"   alternating series only; raises EvaluationError with a
                        pointer at the mixture branch when unsafe;
             "mixture"  quadrature against the mixing density only.
@@ -265,11 +277,16 @@ class FractionalPoissonLaw:
         series_feasible = self.nu ** (1.0 / self.kappa) <= 25.0
         if series_feasible:
             vals, peaks = _fp_pmf_series(self.nu, self.kappa, narr)
-            safe = peaks <= 4e4 * np.maximum(np.abs(vals), 1e-300)
-            if safe.all():
-                return _ret(vals, shape)
+            floor = np.maximum(np.abs(vals), 1e-300)
             if branch == "auto":
-                vals[~safe] = _fp_pmf_mixture(self.nu, self.kappa, narr[~safe])
+                # a term is the exp of log-gammas as large as log(n!), so its
+                # rounding grows with n: the sum's relative error is about
+                # eps * peak/|value| * (10 + log(n!)); keep it near 1e-10
+                exact = peaks * (10.0 + gammaln(narr + 1.0)) <= 4e5 * floor
+                if not exact.all():
+                    vals[~exact] = _fp_pmf_mixture(self.nu, self.kappa, narr[~exact])
+                return _ret(vals, shape)
+            if np.all(peaks <= 4e4 * floor):
                 return _ret(vals, shape)
         if branch == "series":
             raise EvaluationError(

@@ -220,7 +220,8 @@ def convergence_sweep(
     """KS distance to the weak limit along an increasing rate grid.
 
     kind="fp" targets the standard NML law with tail parameter ``kappa``;
-    kind="comp" targets the standard normal and needs ``eta``.
+    kind="comp" targets the standard normal and needs ``eta``.  Each kind
+    rejects the other's parameter.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
@@ -228,12 +229,12 @@ def convergence_sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("parameter grid must be strictly increasing")
     if kind == "fp":
-        if kappa is None:
-            raise DomainError("fp sweep needs kappa")
+        if kappa is None or eta is not None:
+            raise DomainError("fp sweep takes kappa and no eta")
         target = f"nml(kappa={kappa:g})"
     elif kind == "comp":
-        if eta is None:
-            raise DomainError("comp sweep needs eta")
+        if eta is None or kappa is not None:
+            raise DomainError("comp sweep takes eta and no kappa")
         target = "std_normal"
     else:
         raise DomainError(f"unknown sweep kind {kind!r}")

@@ -6,16 +6,20 @@ The one-parameter Mittag-Leffler function ``E_k(z) = sum_m z^m / Gamma(k*m + 1)`
 is entire, but its power series is useless in double precision for large
 negative arguments: the terms grow to roughly ``exp(|z|**(1/k))`` before the
 alternating sum collapses to an algebraically small value.  Evaluation is
-therefore split into three branches:
+therefore split into four branches:
 
 * power series, where the largest term stays small enough that cancellation
   costs at most a few digits;
 * a spectral integral on the cut, ``E_k(-x) = (1/(pi*k)) * int exp(-(x*u)**(1/k))``
   over a finite angular interval, which is smooth, positive, and valid for all
-  ``x`` bounded away from zero and ``0 < k < 1``;
+  ``x`` bounded away from zero and ``0 < k < 1`` (at ``k <= 0.35`` it runs in
+  a log variable, ``_log_step_cut``);
 * the algebraic asymptotic expansion
   ``E_k(-x) ~ sum_m (-1)**(m-1) x**-m / Gamma(1 - k*m)`` with optimal
-  truncation, for large ``x``.
+  truncation, for large ``x``;
+* on the positive axis, wherever the series is not taken,
+  ``E_k(x) = exp(x**(1/k))/k - R_k(x)``: ``R_k`` is the same cut integral
+  with the sign of ``cos(k*pi)`` flipped, on the same log-step nodes.
 
 ``k = 1`` dispatches to ``exp`` exactly, which also removes the poles of
 ``Gamma(1 - m)`` from the asymptotic branch.
@@ -39,6 +43,9 @@ _SERIES_EXPONENT_BUDGET = 4.6
 
 # Smallest |z| for which the cached spectral nodes resolve the integrand.
 _SPECTRAL_X_MIN = 0.25
+
+# smallest x**(1/k) at which a positive x skips the series
+_POSITIVE_SERIES_EXPONENT_MAX = 15.0
 
 _ASYMPTOTIC_MAX_TERMS = 12
 # smallest |z| at which the expansion is tried for a negative z
@@ -152,12 +159,6 @@ def _series_many(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out, _, active = _sum_series(
         terms, 1, np.ones_like(z), 2, _ML_SERIES_TOL, _ML_MAX_TERMS, stop_nonfinite=True
     )
-    if active.any():
-        # a still-growing sum with a positive argument is headed past the
-        # double-precision range; report it as overflow rather than failure
-        overflow = active & (z > 0) & (out > 1e280)
-        out[overflow] = np.inf
-        active &= ~overflow
     return out, active
 
 
@@ -189,7 +190,7 @@ _LOG_STEP_LEFT = -30.0
 
 @lru_cache(maxsize=8)
 def _log_step_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on s in [-30, 4.2] for the small-kappa branch."""
+    """Gauss-Legendre nodes on s in [-30, 4.2] for ``_log_step_cut``."""
     edges = np.concatenate(
         (np.linspace(_LOG_STEP_LEFT, -4.0, 14), np.linspace(-4.0, 4.2, 42)[1:])
     )
@@ -202,17 +203,22 @@ def _log_step_nodes() -> tuple[np.ndarray, np.ndarray]:
 _SMALL_KAPPA_SWITCH = 0.35
 
 
-def _spectral_small_kappa(kappa: float, x: np.ndarray) -> np.ndarray:
-    """Cut integral written in the log variable, for small kappa.
+def _log_step_cut(kappa: float, x: np.ndarray, angle: float) -> np.ndarray:
+    """(1/(pi*k)) * int_0^inf sin(a) exp(-(x*u)**(1/k)) / D(u) du in the log
+    variable, with D(u) = u**2 + 2*u*cos(a) + 1.
 
-    In u the integrand is 1/D(u) times a smoothed step at u = 1/x whose
-    relative width is kappa; substituting u = exp(kappa*s)/x makes the step
-    shape exp(-exp(s)) independent of both kappa and x.  The region left of
-    the step integrates in closed form (arctan antiderivative of 1/D).
+    ``angle`` a = k*pi gives E_k(-x); a = (1-k)*pi flips the sign of the
+    cosine and gives the remainder R_k(x) of the positive axis.  In u the
+    integrand is 1/D(u) times a smoothed step at u = 1/x whose relative
+    width is kappa; substituting u = exp(kappa*s)/x makes the step shape
+    exp(-exp(s)) independent of both kappa and x.  The region left of the
+    step integrates in closed form (arctan antiderivative of 1/D).  Where
+    D has a Lorentzian peak (a < pi/2, at u = cos(a)), its width in s is
+    ~ tan(a)/kappa >= pi, which the nodes resolve.
     """
     s, w = _log_step_nodes()
-    cosk, sink = np.cos(kappa * np.pi), np.sin(kappa * np.pi)
-    theta0 = np.pi / 2 - kappa * np.pi
+    cosk, sink = np.cos(angle), np.sin(angle)
+    theta0 = np.pi / 2 - angle
     u = np.exp(kappa * s)[None, :] / x[:, None]
     d = u * u + 2.0 * cosk * u + 1.0
     with np.errstate(under="ignore"):
@@ -225,7 +231,7 @@ def _spectral_small_kappa(kappa: float, x: np.ndarray) -> np.ndarray:
 def _spectral_many(kappa: float, x: np.ndarray) -> np.ndarray:
     """E_k(-x) for x >= _SPECTRAL_X_MIN via the cut integral, 0 < k < 1."""
     if kappa <= _SMALL_KAPPA_SWITCH:
-        return _spectral_small_kappa(kappa, x)
+        return _log_step_cut(kappa, x, kappa * np.pi)
     u, w = _spectral_nodes(kappa)
     with np.errstate(over="ignore", under="ignore"):
         expo = (x[:, None] * u[None, :]) ** (1.0 / kappa)
@@ -248,19 +254,6 @@ def _asymptotic_many(kappa: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     cut = np.argmin(bounds, axis=1)
     rows = np.arange(x.size)
     return partial[rows, cut], bounds[rows, cut]
-
-
-def _positive_asymptotic(kappa: float, x: np.ndarray) -> np.ndarray:
-    """E_k(x) for large positive x: exponential term plus algebraic correction.
-
-    Relative accuracy is ~exp(-2*x**(1/k)); callers require x**(1/k) >= 15.
-    Arguments whose exponential exceeds the double range come back as inf.
-    """
-    m = np.arange(1, _ASYMPTOTIC_MAX_TERMS + 1, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        lead = np.exp(x ** (1.0 / kappa)) / kappa
-        correction = (x[:, None] ** (-m[None, :])) @ rgamma(1.0 - kappa * m)
-    return lead - correction
 
 
 def _kanter_log(kappa: float, theta: np.ndarray) -> np.ndarray:
@@ -315,29 +308,6 @@ def _mixing_density_log(kappa: float, u: np.ndarray) -> np.ndarray:
     return np.where(dead, -np.inf, out)
 
 
-def _positive_mgf_integral(kappa: float, x: np.ndarray) -> np.ndarray:
-    """E_k(x) for positive x too slow for the series, too small for the
-    exponential expansion (only reached for small kappa).
-
-    Integrates exp(x*u) against the mixing density.  The integrand peaks at
-    u* = x**((1-k)/k)/k with log-height x**(1/k), by the Laplace method.
-    """
-    out = np.empty_like(x)
-    for i, xi in enumerate(x):
-        u_star = xi ** ((1.0 - kappa) / kappa) / kappa
-        probe = u_star * np.geomspace(1e-3, 60.0, 400)
-        a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
-        log_g = xi * probe - a0 * probe ** (1.0 / (1.0 - kappa))
-        keep = log_g >= log_g.max() - 46.0
-        u_hi = probe[keep].max() * 1.2
-        un, wn = _gl_panels(np.linspace(0.0, u_hi, 121), 12)
-        log_terms = xi * un + _mixing_density_log(kappa, un)
-        shift = log_terms.max()
-        with np.errstate(over="ignore", under="ignore"):
-            out[i] = np.exp(shift + np.log(np.exp(log_terms - shift) @ wn))
-    return out
-
-
 def mittag_leffler(kappa, z):
     """Evaluate E_kappa(z) for real z, elementwise over array input.
 
@@ -374,31 +344,31 @@ def mittag_leffler(kappa, z):
     with np.errstate(over="ignore"):
         exponent = x ** (1.0 / kappa)
 
-    pos_big = (z_arr > 0) & (exponent >= 15.0)
-    if pos_big.any():
-        out[pos_big] = _positive_asymptotic(kappa, x[pos_big])
-
-    series_mask = ~pos_big & ((z_arr >= 0) | (exponent <= _SERIES_EXPONENT_BUDGET))
+    # positive arguments the series does not take get exp(x**(1/k))/k - R_k(x)
+    pos_rest = (z_arr > 0) & (exponent >= _POSITIVE_SERIES_EXPONENT_MAX)
+    series_mask = ~pos_rest & ((z_arr >= 0) | (exponent <= _SERIES_EXPONENT_BUDGET))
     if series_mask.any():
         sub = z_arr[series_mask]
         vals, failed = _series_many(kappa, sub)
         if failed.any():
-            # slow convergence (small kappa): cover stragglers with the cut
-            # integral (negative axis) or the mixing-density transform (positive)
+            # slow convergence (small kappa): the cut integral covers the
+            # stragglers on the negative axis, lead - R on the positive one
             if not np.all((sub[failed] < -_SPECTRAL_X_MIN) | (sub[failed] > 0)):
                 raise EvaluationError(
                     "Mittag-Leffler power series branch did not converge "
                     f"within max_terms={_ML_MAX_TERMS}"
                 )
             neg = failed & (sub < 0)
-            pos = failed & (sub > 0)
             if neg.any():
                 vals[neg] = _spectral_many(kappa, -sub[neg])
-            if pos.any():
-                vals[pos] = _positive_mgf_integral(kappa, sub[pos])
+            pos_rest[np.flatnonzero(series_mask)[failed & (sub > 0)]] = True
         out[series_mask] = vals
+    if pos_rest.any():
+        with np.errstate(over="ignore"):
+            lead = np.exp(exponent[pos_rest]) / kappa
+        out[pos_rest] = lead - _log_step_cut(kappa, x[pos_rest], (1.0 - kappa) * np.pi)
 
-    rest = ~series_mask & ~pos_big
+    rest = ~series_mask & (z_arr < 0)
     if rest.any():
         xr = x[rest]
         vals = np.empty_like(xr)

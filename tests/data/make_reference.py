@@ -16,6 +16,13 @@ independent of the library's own evaluation paths:
 * ``nml``       -- the mixture integral of a normal kernel against the mixing
                    density, by mpmath adaptive quadrature.
 * ``comp_logh`` -- brute-force truncated sums of the normalizing series.
+* ``ml_pos_small_kappa`` -- positive arguments by the series oracle at
+                   kappa 0.05 to 0.2, on both sides of the points where the
+                   library's double-precision series stops converging and
+                   of x**(1/k) = 15, plus points at x**(1/k) = 15 -+ 0.5 for
+                   kappa 0.3, 0.7 and 0.99.
+* ``fp_pmf``    -- the fractional Poisson pmf by its alternating series,
+                   with guard digits for the cancellation.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
 """
@@ -151,6 +158,62 @@ def nml_density_mp(kappa, y, dps=20):
         return mp.quad(integrand, points)
 
 
+def fp_pmf_mp(nu, kappa, n, rel_dps=25):
+    """P(N = n) = nu^n/n! sum_i (-nu)^i (i+n)! / (i! Gamma(k(i+n) + 1)).
+
+    The terms grow to roughly exp(nu**(1/k)) before the sum cancels, so the
+    working precision carries 0.45 * nu**(1/k) + 40 guard digits.
+    """
+    peak_log = nu ** (1.0 / kappa)
+    guard = int(0.45 * peak_log) + 40
+    with mp.workdps(rel_dps + guard):
+        k = mp.mpf(repr(kappa))
+        v = mp.mpf(repr(nu))
+        s = mp.mpf(0)
+        i = 0
+        peak_i = peak_log / kappa
+        while True:
+            t = (-v) ** i * mp.factorial(i + n) / (mp.factorial(i) * mp.gamma(k * (i + n) + 1))
+            s += t
+            i += 1
+            if i > peak_i + 40 and abs(t) < mp.mpf(10) ** (-(rel_dps + 30)) * abs(s):
+                return v**n / mp.factorial(n) * s
+            if i > 3 * peak_i + 200000:
+                raise RuntimeError("fp pmf oracle stalled")
+
+
+def ml_pos_small_kappa():
+    """[kappa, z, E_k(z)] rows.  At kappa 0.05, 0.08 and 0.1 the library's
+    series stops converging near z = 1.0667, 1.1972 and 1.3037; the points
+    straddle those, and x**(1/k) = 15 (z = 15**kappa).  There dlog E/dlog z
+    is ~ z**(1/k)/k, up to ~1e4, so the z are dyadic: their decimal repr,
+    which the oracle reads, is then the double the library is given."""
+    grid = {
+        0.05: [1.0, 1.0625, 1.0703125, 1.1015625, 1.12890625, 1.140625, 1.1484375,
+               1.203125, 1.359375],
+        0.08: [1.1484375, 1.1953125, 1.19921875, 1.21875, 1.240234375, 1.25, 1.34375],
+        0.1: [1.25, 1.30078125, 1.3046875, 1.30859375, 1.3125, 1.3203125, 1.453125],
+        0.15: [1.40625, 1.5, 1.50390625, 1.703125],
+        0.2: [1.59375, 1.71484375, 1.72265625, 2.0],
+    }
+    rows = [[kap, z, float(ml_oracle(kap, z))] for kap, zs in grid.items() for z in zs]
+    for kap in [0.3, 0.7, 0.99]:
+        for expo in [14.5, 15.5]:
+            z = expo**kap
+            rows.append([kap, z, float(ml_oracle(kap, z))])
+    return rows
+
+
+def fp_pmf_section():
+    """[nu, kappa, n, P(N = n)] rows, at laws with nu**(1/k) <= ~60."""
+    laws = [(3.0, 0.95), (30.0, 0.95), (12.0, 0.9), (1.0, 0.6), (5.0, 0.5), (6.0, 0.45)]
+    return [
+        [nu, kap, n, float(fp_pmf_mp(nu, kap, n))]
+        for nu, kap in laws
+        for n in [0, 1, 5, 10, 20, 40]
+    ]
+
+
 def comp_log_normalizer_mp(lam, eta, dps=40):
     with mp.workdps(dps + 20):
         l, e = mp.mpf(repr(lam)), mp.mpf(repr(eta))
@@ -205,6 +268,9 @@ def main():
     for kap in [0.95, 0.99]:
         for u in [1e-3, 0.05, 0.2, 0.5, 0.8, 1.0]:
             out["mixing_high_kappa"].append([kap, u, float(mixing_density_mp(kap, u))])
+
+    out["ml_pos_small_kappa"] = ml_pos_small_kappa()
+    out["fp_pmf"] = fp_pmf_section()
 
     path = pathlib.Path(__file__).with_name("reference.json")
     path.write_text(json.dumps(out, indent=1))

@@ -32,6 +32,12 @@ class TestPmf:
         mixture = law.pmf(n, branch="mixture")
         assert np.max(np.abs(series - mixture)) <= 1e-6
 
+    @pytest.mark.parametrize("branch", ["mixture", "auto"])
+    def test_against_reference(self, reference, branch):
+        for nu, kappa, n, want in reference["fp_pmf"]:
+            got = FractionalPoissonLaw(nu, kappa).pmf(n, branch=branch)
+            assert_allclose(got, want, rtol=1e-9, err_msg=f"nu={nu}, kappa={kappa}, n={n}")
+
     @pytest.mark.parametrize("nu,kappa", [(0.5, 0.4), (2.0, 0.7), (5.0, 0.6), (5.0, 0.3)])
     def test_sums_to_one(self, nu, kappa):
         law = FractionalPoissonLaw(nu, kappa)

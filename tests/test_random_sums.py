@@ -182,6 +182,18 @@ class TestSweep:
         with pytest.raises(DomainError):
             convergence_sweep("blah", [10.0], SummandSpec(), 10, RngStream(0), kappa=0.5)
 
+    def test_fp_sweep_rejects_eta(self):
+        with pytest.raises(DomainError, match="no eta"):
+            convergence_sweep(
+                "fp", [10.0], SummandSpec(), 10, RngStream(0), kappa=0.5, eta=2.0
+            )
+
+    def test_comp_sweep_rejects_kappa(self):
+        with pytest.raises(DomainError, match="no kappa"):
+            convergence_sweep(
+                "comp", [10.0], SummandSpec(), 10, RngStream(0), kappa=0.5, eta=2.0
+            )
+
     def test_fp_sweep_shrinks(self):
         report = convergence_sweep(
             "fp",

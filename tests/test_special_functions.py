@@ -37,6 +37,12 @@ class TestMittagLeffler:
             got = mittag_leffler(kappa, z)
             assert_allclose(got, want, rtol=1e-10, err_msg=f"kappa={kappa}, z={z}")
 
+    def test_positive_small_kappa_against_reference(self, reference):
+        # both sides of the series' convergence limit and of x**(1/k) = 15
+        for kappa, z, want in reference["ml_pos_small_kappa"]:
+            got = mittag_leffler(kappa, z)
+            assert_allclose(got, want, rtol=1e-12, err_msg=f"kappa={kappa}, z={z}")
+
     def test_positive_overflow_is_inf(self):
         with np.errstate(over="ignore"):
             assert mittag_leffler(0.2, 5.0) == np.inf
