@@ -16,6 +16,7 @@ import datetime
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -311,12 +312,22 @@ def _format_fit_table(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _clean(obj):
-    """JSON-safe copy: numpy scalars to python, NaN to None."""
+# an ndarray's place in the JSON skeleton: json.dumps writes this character
+# as \u0000, which no other string of a report contains
+_SLOT = "\x00"
+_SLOT_RE = re.compile(r'"\\u0000(\d+)"')
+# values formatted per chunk, which bounds the strings alive at once
+_CHUNK = 1 << 16
+
+
+def _clean(obj, arrays: list):
+    """JSON-safe copy: numpy scalars to python, NaN to None, +-inf to
+    "inf"/"-inf"; each ndarray becomes a slot string and is appended to
+    ``arrays``, for ``_json_pieces`` to splice in."""
     if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
+        return {k: _clean(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
+        return [_clean(v, arrays) for v in obj]
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         if math.isnan(f):
@@ -327,8 +338,51 @@ def _clean(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
+        arrays.append(obj)
+        return f"{_SLOT}{len(arrays) - 1}"
     return obj
+
+
+def _value_chunks(values: np.ndarray, nan: str, pos_inf: str, neg_inf: str):
+    """Text of a 1-d array, chunk by chunk: the repr of each value, as json
+    and csv write a float or an int, and the given spelling of each
+    non-finite one."""
+    for start in range(0, values.size, _CHUNK):
+        chunk = values[start : start + _CHUNK]
+        text = list(map(repr, chunk.tolist()))
+        if chunk.dtype.kind == "f":
+            for i in np.flatnonzero(~np.isfinite(chunk)):
+                v = chunk[i]
+                text[i] = nan if np.isnan(v) else pos_inf if v > 0 else neg_inf
+        yield text
+
+
+def _json_pieces(payload: dict):
+    """The report as json.dumps(indent=2, sort_keys=True) writes it, in
+    pieces: the small skeleton is dumped, and each array is written at its
+    slot's indent."""
+    arrays = []
+    text = json.dumps(_clean(payload, arrays), indent=2, sort_keys=True, allow_nan=False)
+
+    def pieces():
+        pos = 0
+        for slot in _SLOT_RE.finditer(text):
+            yield text[pos : slot.start()]
+            pos = slot.end()
+            values = arrays[int(slot.group(1))]
+            if not values.size:
+                yield "[]"
+                continue
+            line = text[text.rfind("\n", 0, slot.start()) + 1 : slot.start()]
+            indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+            sep = "," + indent + "  "
+            yield "[" + sep[1:]
+            for i, chunk in enumerate(_value_chunks(values, "null", '"inf"', '"-inf"')):
+                yield (sep if i else "") + sep.join(chunk)
+            yield indent + "]"
+        yield text[pos:] + "\n"
+
+    return pieces()
 
 
 # (payload key, CSV header) of each column, per report kind
@@ -342,11 +396,11 @@ _CSV_COLUMNS = {
 }
 
 
-def _to_csv(payload: dict) -> str:
-    kind = payload["kind"]
+def _table_csv(payload: dict) -> str:
+    """CSV of the reports whose rows are records: mc_tables and fit_report."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if kind == "mc_tables":
+    if payload["kind"] == "mc_tables":
         names = ("mu", "sigma2", "kappa")
         header = ["kappa", "n", "replications", "clamped_low", "clamped_high"]
         for group in ("mean_est", "rmse", "se_empirical", "se_theoretical"):
@@ -358,20 +412,37 @@ def _to_csv(payload: dict) -> str:
             for group in ("mean_est", "rmse", "se_empirical", "se_theoretical"):
                 row += [_fmt_num(cell[group][p]) for p in names]
             writer.writerow(row)
-        return buf.getvalue()
-    if kind == "fit_report":
+    else:
         writer.writerow(["model", "parameter", "estimate", "se"])
         for m in payload["models"]:
             for p, v in m["estimates"].items():
                 writer.writerow([m["model"], p, _fmt_num(v), _fmt_num(m["se"].get(p))])
-        return buf.getvalue()
+    return buf.getvalue()
+
+
+def _csv_pieces(payload: dict):
+    """The report as CSV, in pieces.  Columns are arrays, or lists of ISO
+    dates, none of which needs quoting; NaN is an empty field, written ""
+    when it is the row's only field, as csv.writer does."""
+    kind = payload["kind"]
+    if kind in ("mc_tables", "fit_report"):
+        return iter([_table_csv(payload)])
     if kind not in _CSV_COLUMNS:
         raise DomainError(f"no CSV form for {kind!r} output")
     keys, headers = zip(*_CSV_COLUMNS[kind])
-    writer.writerow(headers)
-    for row in zip(*(payload[k] for k in keys)):
-        writer.writerow([_fmt_num(v) for v in row])
-    return buf.getvalue()
+    nan = '""' if len(keys) == 1 else ""
+
+    def column(values):
+        if isinstance(values, np.ndarray):
+            return _value_chunks(values, nan, "inf", "-inf")
+        return (values[i : i + _CHUNK] for i in range(0, len(values), _CHUNK))
+
+    def pieces():
+        yield ",".join(headers) + "\n"
+        for chunks in zip(*(column(payload[k]) for k in keys)):
+            yield "\n".join(map(",".join, zip(*chunks))) + "\n"
+
+    return pieces()
 
 
 def _fmt_num(v):
@@ -386,20 +457,16 @@ def _fmt_num(v):
 def _emit(payload: dict, args, text: str | None = None) -> None:
     """Write the report (json or csv) to --out or stdout; optional aligned
     text goes to stdout, or stderr when stdout carries the report."""
-    body = (
-        json.dumps(_clean(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        if args.format == "json"
-        else _to_csv(payload)
-    )
+    pieces = _json_pieces(payload) if args.format == "json" else _csv_pieces(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
+            handle.writelines(pieces)
         if text:
             print(text)
     else:
         if text:
             print(text, file=sys.stderr)
-        sys.stdout.write(body)
+        sys.stdout.writelines(pieces)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -433,8 +500,8 @@ def cmd_ml_eval(args) -> int:
             "schema": SCHEMA_TAG,
             "kind": "ml_eval",
             "kappa": args.kappa,
-            "z": z.tolist(),
-            "value": values.tolist(),
+            "z": z,
+            "value": values,
         },
         args,
     )
@@ -469,8 +536,8 @@ def cmd_density(args) -> int:
             "kind": "density_grid",
             "dist": args.dist,
             "parameters": params,
-            "x": x.tolist(),
-            "density": density.tolist(),
+            "x": x,
+            "density": density,
         },
         args,
     )
@@ -489,8 +556,8 @@ def cmd_pmf(args) -> int:
             "kind": "pmf_grid",
             "dist": args.dist,
             "parameters": params,
-            "n": n.tolist(),
-            "pmf": pmf.tolist(),
+            "n": n,
+            "pmf": pmf,
         },
         args,
     )
@@ -510,7 +577,7 @@ def cmd_sample(args) -> int:
             "dist": args.dist,
             "parameters": params,
             "seed": rng.seed,
-            "values": np.asarray(values).tolist(),
+            "values": np.asarray(values),
         },
         args,
     )
@@ -525,7 +592,7 @@ def cmd_returns(args) -> int:
             "schema": SCHEMA_TAG,
             "kind": "returns_series",
             "dates": list(series.dates),
-            "values": series.values.tolist(),
+            "values": series.values,
         },
         args,
     )
@@ -592,8 +659,8 @@ def cmd_converge(args) -> int:
             "kind": "convergence",
             "sweep": report.kind,
             "target": report.target,
-            "grid": list(report.parameter_grid),
-            "ks": list(report.distances),
+            "grid": np.asarray(report.parameter_grid, dtype=float),
+            "ks": np.asarray(report.distances, dtype=float),
             "draws_per_point": report.draws_per_point,
         },
         args,

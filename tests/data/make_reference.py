@@ -23,6 +23,12 @@ independent of the library's own evaluation paths:
                    kappa 0.3, 0.7 and 0.99.
 * ``fp_pmf``    -- the fractional Poisson pmf by its alternating series,
                    with guard digits for the cancellation.
+* ``nml_tail``  -- log f(y) of the standard NML law at |y| 10 to 40, by the
+                   mixture integral over its Laplace window, where the
+                   mixing series stays feasible there.
+* ``nml_high_kappa`` -- f(y) at kappa 0.9 and 0.95: the closed form
+                   1/(sqrt(2) Gamma(1 - k/2)) at y = 0, the Laplace-window
+                   integral of ``nml_tail`` at y = 1 and 3.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
 """
@@ -158,6 +164,96 @@ def nml_density_mp(kappa, y, dps=20):
         return mp.quad(integrand, points)
 
 
+def nml_log_tail_mp(kappa, y, dps=20):
+    """log f(y) by the mixture integral over its Laplace window.
+
+    The window is where shape(u) = -y**2/(2u) - log(u)/2 - a0*u**(1/(1-k)),
+    the integrand's log with the mixing density's leading decay, lies within
+    50 of its peak, widened until the integrand at both ends is below 1e-20
+    of its value at that peak.  Panels start two Laplace standard deviations
+    wide, and a panel is halved until its 16- and 24-node Gauss-Legendre
+    sums agree to 1e-15 of (integrand at the peak) * (starting panel width).
+    Returns None where the series at the window's right end would be
+    infeasible.
+    """
+    a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
+
+    def shape(x):
+        decay = a0 * math.exp(min(math.log(x) / (1.0 - kappa), 700.0))
+        return -y * y / (2 * x) - 0.5 * math.log(x) - decay
+
+    grid = [math.exp(t / 400.0) for t in range(-3000, 3001)]
+    values = [shape(x) for x in grid]
+    top = max(values)
+    inside = [x for x, s in zip(grid, values) if s >= top - 50.0]
+    lo, hi = inside[0], inside[-1]
+    peak = grid[values.index(top)]
+    step = 1e-3 * peak
+    curvature = (shape(peak + step) - 2 * top + shape(peak - step)) / step**2
+    if hi ** (1.0 / (1.0 - kappa)) > 20000:
+        return None
+    with mp.workdps(dps + 5):
+        rules = [mp.gauss_quadrature(n, "legendre") for n in (16, 24)]
+        yy = mp.mpf(repr(y))
+
+        def integrand(x):
+            return (
+                mp.exp(-yy * yy / (2 * x))
+                / mp.sqrt(2 * mp.pi * x)
+                * mixing_density_mp(kappa, float(x), dps=dps + 10)
+            )
+
+        top_val = integrand(mp.mpf(repr(peak)))
+        floor = mp.mpf(10) ** -20 * top_val
+        while integrand(mp.mpf(repr(lo))) > floor:
+            lo *= 0.9
+        while integrand(mp.mpf(repr(hi))) > floor:
+            hi *= 1.02
+            if hi ** (1.0 / (1.0 - kappa)) > 20000:
+                return None
+        n_panels = math.ceil((hi - lo) * math.sqrt(-curvature) / 2.0)
+        a, b = mp.mpf(repr(lo)), mp.mpf(repr(hi))
+        tol = mp.mpf(10) ** -15 * top_val * (b - a) / n_panels
+        panels = [(a + (b - a) * i / n_panels, a + (b - a) * (i + 1) / n_panels)
+                  for i in range(n_panels)]
+        total = mp.mpf(0)
+        while panels:
+            left, right = panels.pop()
+            mid, half = (left + right) / 2, (right - left) / 2
+            coarse, fine = (
+                half * mp.fsum(w * integrand(mid + half * x) for x, w in zip(xg, wg))
+                for xg, wg in rules
+            )
+            if abs(fine - coarse) <= tol:
+                total += fine
+            else:
+                panels += [(left, mid), (mid, right)]
+        return mp.log(total)
+
+
+def nml_tail_section():
+    """[kappa, y, log f(y)] rows.  Kappa 0.99 is left out: its windows reach
+    u ~ 1.1, where one series evaluation takes ~10 s."""
+    rows = []
+    for kap in [0.1, 0.3, 0.5, 0.7, 0.9]:
+        for y in [10.0, 20.0, 40.0]:
+            val = nml_log_tail_mp(kap, y)
+            if val is not None:
+                rows.append([kap, y, float(val)])
+    return rows
+
+
+def nml_high_kappa_section():
+    """[kappa, y, f(y)] rows in the body, where g peaks sharply."""
+    rows = []
+    for kap in [0.9, 0.95]:
+        with mp.workdps(30):
+            rows.append([kap, 0.0, float(1 / (mp.sqrt(2) * mp.gamma(1 - mp.mpf(repr(kap)) / 2)))])
+        for y in [1.0, 3.0]:
+            rows.append([kap, y, float(mp.exp(nml_log_tail_mp(kap, y)))])
+    return rows
+
+
 def fp_pmf_mp(nu, kappa, n, rel_dps=25):
     """P(N = n) = nu^n/n! sum_i (-nu)^i (i+n)! / (i! Gamma(k(i+n) + 1)).
 
@@ -271,6 +367,8 @@ def main():
 
     out["ml_pos_small_kappa"] = ml_pos_small_kappa()
     out["fp_pmf"] = fp_pmf_section()
+    out["nml_tail"] = nml_tail_section()
+    out["nml_high_kappa"] = nml_high_kappa_section()
 
     path = pathlib.Path(__file__).with_name("reference.json")
     path.write_text(json.dumps(out, indent=1))

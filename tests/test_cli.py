@@ -1,4 +1,6 @@
+import csv
 import datetime
+import io
 import json
 import math
 import pathlib
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fpsum.cli import main
+from fpsum.cli import _CHUNK, _csv_pieces, _json_pieces, main
 from fpsum.distributions import NmlLaw, RngStream
 
 SCHEMA_PATH = (
@@ -121,6 +123,14 @@ class TestGrids:
         n = np.array(payload["n"], dtype=float)
         ref = np.exp(n * np.log(3.0) - 3.0 - gammaln(n + 1.0))
         assert_allclose(payload["pmf"], ref, rtol=1e-10)
+
+    def test_nml_density_far_grid(self, tmp_path):
+        payload = run_json(
+            ["density", "--dist", "nml", "--kappa", "0.5", "--grid", "-60:60:30"],
+            tmp_path,
+        )
+        f = np.array(payload["density"])
+        assert np.all(f > 0) and f[0] == f[-1] and f[1] == f[3]
 
 
 class TestSample:
@@ -364,3 +374,96 @@ class TestUnusedFlags:
     def test_missing_law_flag(self, capsys):
         assert main(["pmf", "--dist", "comp", "--lam", "3", "--max", "5"]) == 2
         assert "--eta" in capsys.readouterr().err
+
+
+# The report writers stream arrays; these are the whole-report writers they
+# replaced, which every command's output must still match byte for byte.
+
+
+def _reference_clean(obj):
+    if isinstance(obj, dict):
+        return {k: _reference_clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_clean(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        if math.isnan(f):
+            return None
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_reference_clean(v) for v in obj.tolist()]
+    return obj
+
+
+def _reference_json(payload):
+    return json.dumps(_reference_clean(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _reference_csv(payload, columns):
+    def fmt(v):
+        if isinstance(v, float):
+            return "" if math.isnan(v) else repr(v)
+        return v
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([header for _, header in columns])
+    lists = [payload[k].tolist() if isinstance(payload[k], np.ndarray) else payload[k]
+             for k, _ in columns]
+    for row in zip(*lists):
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def _odd_floats(n, seed):
+    values = np.random.default_rng(seed).standard_normal(n) * 10.0 ** (np.arange(n) % 40 - 20)
+    values[::7] = np.nan
+    values[1::11] = np.inf
+    values[2::13] = -np.inf
+    values[3] = -0.0
+    values[4] = 5e-324
+    return values
+
+
+class TestReportWriters:
+    def test_json_arrays_at_every_depth(self):
+        payload = {
+            "schema": "fpsum-output/v1",
+            "kind": "density_grid",
+            "x": _odd_floats(40, 1),
+            "density": np.array([]),
+            "parameters": {"kappa": 0.5, "grid": {"n": np.arange(5), "empty": []}},
+            "nested": [{"deep": [np.arange(3.0), np.array([], dtype=int)]}, np.float64(np.nan)],
+            "label": "a \"quoted\" name",
+        }
+        assert "".join(_json_pieces(payload)) == _reference_json(payload)
+
+    def test_json_across_chunks(self):
+        payload = {"kind": "samples", "values": _odd_floats(2 * _CHUNK + 3, 2), "seed": 9}
+        assert "".join(_json_pieces(payload)) == _reference_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload, columns",
+        [
+            ({"kind": "density_grid", "x": np.linspace(-1.0, 1.0, 41), "density": _odd_floats(41, 3)},
+             (("x", "x"), ("density", "density"))),
+            ({"kind": "pmf_grid", "n": np.arange(12), "pmf": _odd_floats(12, 4)},
+             (("n", "n"), ("pmf", "pmf"))),
+            ({"kind": "samples", "values": _odd_floats(2 * _CHUNK + 3, 5)}, (("values", "value"),)),
+            ({"kind": "samples", "values": np.arange(-3, 4)}, (("values", "value"),)),
+            ({"kind": "samples", "values": np.array([])}, (("values", "value"),)),
+            ({"kind": "returns_series", "dates": ["2020-01-02", "2020-01-03", "2020-01-06"],
+              "values": np.array([0.01, np.nan, -0.02])},
+             (("dates", "date"), ("values", "log_return"))),
+        ],
+    )
+    def test_csv(self, payload, columns):
+        assert "".join(_csv_pieces(payload)) == _reference_csv(payload, columns)
+
+    def test_lone_nan_field_is_quoted(self):
+        text = "".join(_csv_pieces({"kind": "samples", "values": np.array([1.5, np.nan])}))
+        assert text == 'value\n1.5\n""\n'

@@ -4,7 +4,13 @@ from numpy.testing import assert_allclose
 from scipy.special import gamma as gamma_fn
 from scipy.special import kolmogi, roots_legendre
 
-from fpsum.distributions import NmlLaw, RngStream
+from fpsum.distributions import (
+    _NML_MIXTURE_KAPPA_MAX,
+    NmlLaw,
+    RngStream,
+    _nml_cosine_density,
+    _nml_mixture_density,
+)
 from fpsum.errors import DomainError
 from fpsum.special_functions import mittag_leffler
 
@@ -36,10 +42,34 @@ class TestDensity:
         assert_allclose(got, 0.2885, atol=5e-5)
 
     def test_against_reference(self, reference):
-        for kappa, y, want in reference["nml"]:
+        for kappa, y, want in reference["nml"] + reference["nml_high_kappa"]:
             got = NmlLaw(0.0, 1.0, kappa).density(y)
-            assert_allclose(got, want, atol=1e-8, rtol=1e-6,
-                            err_msg=f"kappa={kappa}, y={y}")
+            assert_allclose(got, want, rtol=1e-10, err_msg=f"kappa={kappa}, y={y}")
+
+    def test_far_tail_against_reference(self, reference):
+        for kappa, y, want in reference["nml_tail"]:
+            for sign in (1.0, -1.0):
+                got = np.log(NmlLaw(0.0, 1.0, kappa).density(sign * y))
+                assert_allclose(got, want, rtol=1e-9, err_msg=f"kappa={kappa}, y={y}")
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.5, 0.9, _NML_MIXTURE_KAPPA_MAX])
+    def test_far_tail_is_a_density(self, kappa):
+        half = np.geomspace(1e-3, 1e3, 61)
+        f = NmlLaw(0.0, 1.0, kappa).density(np.concatenate((-half[::-1], [0.0], half)))
+        assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
+        assert np.array_equal(f, f[::-1])
+        # nonincreasing in |y| until it underflows
+        assert np.all(np.diff(f[61:]) <= 0.0)
+
+    # the mixing density's own error near its peak (its integral form is
+    # good to ~2e-8 there) moves the mixture by ~5e-10 at kappa 0.98; at
+    # 0.95 and at the cut the two agree to < 1e-10
+    @pytest.mark.parametrize(
+        "kappa, rtol", [(0.95, 1e-10), (0.98, 1e-9), (_NML_MIXTURE_KAPPA_MAX, 1e-10)]
+    )
+    def test_mixture_meets_cosine_transform(self, kappa, rtol):
+        y = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+        assert_allclose(_nml_mixture_density(kappa, y), _nml_cosine_density(kappa, y), rtol=rtol)
 
     def test_symmetry(self):
         law = NmlLaw(0.0, 1.0, 0.6)
