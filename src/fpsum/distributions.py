@@ -446,7 +446,8 @@ def _cos_tail_table(a: np.ndarray, n_max: int) -> dict[int, np.ndarray]:
 
 def _nml_cosine_density(kappa: float, y: np.ndarray) -> np.ndarray:
     """Density of the standard law by cosine-transform of E_k(-t^2/2), for
-    kappa < 1 and |y| <= _NML_YMAX; accurate to ~1e-9 absolute."""
+    kappa < 1 and |y| <= _NML_YMAX; ~1e-9 absolute in the body, and not
+    sign-safe in the far tail."""
     ay = np.abs(y)
     if np.any(ay > _NML_YMAX):
         raise EvaluationError(
@@ -530,8 +531,9 @@ class NmlLaw:
         summed in log space on cached nodes: positive, relative error
         ~1e-12 at moderate kappa, and 0 only where the value underflows.  At
         kappa = 1 it is the normal density.  Between the cut and 1 it is the
-        cosine transform of E_k(-t^2/2), accurate to ~1e-9 absolute for
-        |y| <= 48 (it raises EvaluationError beyond).
+        cosine transform of E_k(-t^2/2): ~1e-9 absolute in the body, but
+        from |y| ~ 7 values can come out negative, and it raises
+        EvaluationError past |y| = 48.
         """
         arr, shape = _as_array(x)
         z = (arr - self.mu) / self.sigma
