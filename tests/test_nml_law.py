@@ -31,6 +31,14 @@ class TestDensity:
             got = NmlLaw(0.0, 1.0, kappa).density(0.0)
             assert_allclose(got, center_height(kappa), atol=1e-8)
 
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.8])
+    def test_cusp_slope(self, kappa):
+        # f(y) = f(0) - |y| g(0) + o(y) with g(0) = 1/Gamma(1 - kappa): the
+        # step of phi(y/v) at v ~ |y| must be resolved down to tiny |y|
+        y = np.array([1e-12, 1e-9, 1e-7])
+        want = center_height(kappa) - y / gamma_fn(1.0 - kappa)
+        assert_allclose(NmlLaw(0.0, 1.0, kappa).density(-y), want, rtol=0, atol=2e-13)
+
     def test_laplace_limit_center(self):
         got = NmlLaw(0.0, 1.0, 1e-3).density(0.0)
         assert_allclose(got, center_height(1e-3), atol=1e-7)
