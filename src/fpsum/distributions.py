@@ -398,11 +398,14 @@ def _nml_mixture_density(kappa: float, y: np.ndarray) -> np.ndarray:
     step = max(1, int(4e6 // log_w.size))
     with np.errstate(under="ignore", divide="ignore"):
         for i in range(0, y2.size, step):
-            expo = log_w[None, :] - y2[i : i + step, None] * half_inv_u[None, :]
+            # one matrix per chunk, updated in place
+            expo = np.multiply.outer(y2[i : i + step], -half_inv_u)
+            expo += log_w
             shift = expo.max(axis=1)
             # at |y| = inf every exponent is -inf: shift by 0 and return 0
             shift[shift == -np.inf] = 0.0
-            out[i : i + step] = np.exp(shift + np.log(np.exp(expo - shift[:, None]).sum(axis=1)))
+            expo -= shift[:, None]
+            out[i : i + step] = np.exp(shift + np.log(np.exp(expo, out=expo).sum(axis=1)))
     return out
 
 
