@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, rgamma, sici
+from scipy.special import gammaln
 
 from .errors import DomainError, EvaluationError
 from .special_functions import (
@@ -128,7 +128,9 @@ class MittagLefflerLaw:
         The alternating series is used while its largest term cannot poison
         the sum and it converges within its term cap; other arguments go
         through the one-sided stable integral form, whose integrand is
-        positive.
+        positive.  Both meet the mpmath oracles to ~1e-12 relative.  Above
+        kappa 1 - 1e-6 the integral form raises EvaluationError, and so do
+        the arguments that the series does not take.
         """
         if self.kappa == 1.0:
             raise DomainError(
@@ -204,30 +206,34 @@ def _fp_pmf_series(nu: float, kappa: float, n: np.ndarray) -> tuple[np.ndarray, 
 @lru_cache(maxsize=32)
 def _mixture_nodes(kappa: float, u_hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on [0, u_hi] with mixing density precomputed."""
-    u, w = _gl_panels(np.linspace(0.0, u_hi, n_panels + 1), 10)
+    edges = np.linspace(0.0, u_hi, n_panels + 1)
+    u, w = _gl_panels(edges[:-1], edges[1:], 10)
     return u, w, MittagLefflerLaw(kappa).density(u)
+
+
+def _fp_mixture_range(nu: float, kappa: float, n_max: float) -> tuple[float, int]:
+    """(u_hi, panels) of the quadrature in ``_fp_pmf_mixture``.
+
+    The largest count's integrand has log-shape
+    n_max*log(nu*u) - nu*u - a0*u**(1/(1-k)) (Laplace); the range ends past
+    the point where that falls 46 below its peak.  The probe reaches 46/nu
+    past the Poisson window, so it holds that point even where the mixing
+    density does not cut the integrand first.
+    """
+    a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
+    top = (n_max + 12.0 * math.sqrt(n_max + 1.0) + 46.0) / nu
+    probe = top * np.geomspace(1e-6, 1.0, 400)
+    with np.errstate(over="ignore"):
+        log_g = n_max * np.log(nu * probe) - nu * probe - a0 * probe ** (1.0 / (1.0 - kappa))
+    keep = log_g >= log_g.max() - 46.0
+    u_hi = probe[keep].max() * 1.2
+    return u_hi, int(min(2000, max(64, 8.0 * u_hi * nu / math.sqrt(n_max + 1.0), 4 * u_hi)))
 
 
 def _fp_pmf_mixture(nu: float, kappa: float, n: np.ndarray) -> np.ndarray:
     """Conditionally-Poisson quadrature: integral of Poisson(n; nu*u) against
-    the mixing density.
-
-    The largest count's integrand has log-shape
-    n_max*log(nu*u) - nu*u - a0*u**(1/(1-k)) (Laplace); the range ends past
-    the point where that falls 46 below its peak, and never before u_tail,
-    where the mixing density's own decay exp(-a0*u**(1/(1-k))) reaches
-    exp(-46).
-    """
-    a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
-    u_tail = (46.0 / a0) ** (1.0 - kappa)
-    n_max = float(n.max())
-    poisson_hi = (n_max + 12.0 * math.sqrt(n_max + 1.0) + 12.0) / nu
-    probe = max(u_tail, poisson_hi) * np.geomspace(1e-6, 1.0, 400)
-    with np.errstate(over="ignore"):
-        log_g = n_max * np.log(nu * probe) - nu * probe - a0 * probe ** (1.0 / (1.0 - kappa))
-    keep = log_g >= log_g.max() - 46.0
-    u_hi = max(u_tail, probe[keep].max() * 1.2)
-    n_panels = int(min(2000, max(64, 8.0 * u_hi * nu / math.sqrt(n_max + 1.0), 4 * u_hi)))
+    the mixing density, on the range of ``_fp_mixture_range``."""
+    u_hi, n_panels = _fp_mixture_range(nu, kappa, float(n.max()))
     u, w, dens = _mixture_nodes(kappa, u_hi, n_panels)
     log_pois = (
         n[:, None] * np.log(nu * u)[None, :]
@@ -326,54 +332,53 @@ class FractionalPoissonLaw:
 # Normal-Mittag-Leffler law
 # ---------------------------------------------------------------------------
 
-# Up to this kappa the density is the variance mixture over the mixing
-# density g.  Above it the error of g's integral form near g's peak shows
-# in the mixture (1.5e-9 at kappa 0.995, 5e-5 at 0.999), and the cosine
-# transform of E_k(-t^2/2) is kept.
-_NML_MIXTURE_KAPPA_MAX = 0.99
 # the mixture nodes end where log g falls below this: the integrand peak of
 # every representable density value lies inside them
 _NML_LOG_G_END = -750.0
-# panels halve toward v = 0 this many times below the uniform part; the
-# first one, [0, v0 * 2**-46], is too narrow to matter even for tiny |y|
+# panels halve toward v = 0 down to v_c * 2**-46; the first one,
+# [0, v_c * 2**-46], is too narrow to matter even for tiny |y|
 _NML_HALVINGS = 46
+# in s = log(u)/(1-k) the core of g is O(1) wide for every kappa: the
+# panels next to v_c are this wide in s, and grow by _NML_GROWTH per panel
+# toward v = 0 until they are halvings
+_NML_CORE_WIDTH = 1.0
+_NML_GROWTH = 2.0
+# right of v_c the panels are this wide in r = sqrt(a0 u**(1/(1-k))), the
+# variable in which log g ~ -r**2 has unit curvature
+_NML_FLANK_WIDTH = 2.0
 
 
 @lru_cache(maxsize=32)
 def _nml_mixture_nodes(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of f(y) = 2 * int_0^inf phi(y/v) g(v^2) dv, as (1/(2 v^2), log weight).
 
-    Gauss-Legendre panels in v = sqrt(u): they halve toward v = 0, where
-    phi(y/v) steps at v ~ |y| and gives the density its cusp; from
-    v0 = cap/0.35 up they are cap wide; they end where log g reaches
-    _NML_LOG_G_END.  cap is the smaller of sd(sqrt(U)) and of g's right
-    flank, over 2.5.  The flank exp(-a0 * u**(1/(1-k))) e-folds over
-    du = (1-k)*u_c near u_c = a0**-(1-k), that is dv = (1-k)*sqrt(u_c)/2;
-    near kappa 1 it is far narrower than sd(sqrt(U)), which the long left
-    tail of g sets, and it also bounds the width of the integrand's peak in
-    the far tail of the density.  Each log weight holds log g, taken from
+    16-point Gauss-Legendre panels in v = sqrt(u), laid out in log v around
+    v_c = a0**(-(1-k)/2), where g's flank exp(-a0 u**(1/(1-k))) sets in.
+    Left of v_c they are _NML_CORE_WIDTH wide in s = log(u)/(1-k) and grow
+    geometrically into halvings of v, which resolve the step of phi(y/v) at
+    v ~ |y| that gives the density its cusp.  Right of v_c they are
+    _NML_FLANK_WIDTH wide in r = sqrt(a0 u**(1/(1-k))), which also spans the
+    integrand's peak in the far tail of the density, and they end where log
+    g reaches _NML_LOG_G_END.  Each log weight holds log g, taken from
     ``MittagLefflerLaw.density`` where that value is a normal double and
     from ``_mixing_density_log`` past it.
     """
-    a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
-    # E U = 1/Gamma(1+k) and E sqrt(U) = Gamma(3/2)/Gamma(1+k/2)
-    mean_root = math.exp(gammaln(1.5) - gammaln(1.0 + kappa / 2.0))
-    sd_root = math.sqrt(math.exp(-gammaln(1.0 + kappa)) - mean_root**2)
-    flank = (1.0 - kappa) * a0 ** (-(1.0 - kappa) / 2.0)
-    cap = min(sd_root, flank) / 2.5
-    v0 = cap / 0.35
-    # log g ~ -a0 * u**(1/(1-k)) far right; start near that crossing and
-    # widen until log g there is below the end
-    v_hi = math.sqrt((-_NML_LOG_G_END / a0) ** (1.0 - kappa))
-    while _mixing_density_log(kappa, np.array([v_hi * v_hi]))[0] > _NML_LOG_G_END:
-        v_hi *= 1.1
-    upper = v0 + cap * np.arange(math.ceil((v_hi - v0) / cap) + 1)
-    with np.errstate(under="ignore"):
-        log_g_edge = _mixing_density_log(kappa, upper * upper)
-    peak = np.argmax(log_g_edge)
-    end = peak + np.argmax(log_g_edge[peak:] < _NML_LOG_G_END)
-    edges = np.concatenate(([0.0], v0 * 0.5 ** np.arange(_NML_HALVINGS, 0, -1), upper[: end + 1]))
-    v, w = _gl_panels(edges, 16)
+    c = 1.0 - kappa
+    log_a0 = math.log(c) + kappa / c * math.log(kappa)
+    log_vc = -c * log_a0 / 2.0
+    widths = np.minimum(_NML_CORE_WIDTH * c / 2.0 * _NML_GROWTH ** np.arange(64), math.log(2.0))
+    left = log_vc - np.cumsum(widths)
+    left = left[left > log_vc - _NML_HALVINGS * math.log(2.0)]
+    # log g ~ -r**2 on the flank, at u = u_c * r**(2(1-k)); widen until
+    # log g at the end is below _NML_LOG_G_END
+    u_c = math.exp(2.0 * log_vc)
+    r_hi = math.sqrt(-_NML_LOG_G_END)
+    while _mixing_density_log(kappa, np.array([u_c * r_hi ** (2.0 * c)]))[0] > _NML_LOG_G_END:
+        r_hi += _NML_FLANK_WIDTH
+    r = np.arange(1.0, r_hi + _NML_FLANK_WIDTH, _NML_FLANK_WIDTH)
+    log_v = np.concatenate((left[::-1], log_vc + c * np.log(r)))
+    edges = np.concatenate(([0.0], np.exp(log_v)))
+    v, w = _gl_panels(edges[:-1], edges[1:], 16)
     u = v * v
     with np.errstate(under="ignore"):
         g = MittagLefflerLaw(kappa).density(u)
@@ -384,15 +389,18 @@ def _nml_mixture_nodes(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 / u, np.log(2.0 * w) + log_g - 0.5 * math.log(_TWO_PI)
 
 
-def _nml_mixture_density(kappa: float, y: np.ndarray) -> np.ndarray:
-    """Standard density as a log-sum-exp over the cached mixture nodes.
+def _nml_standard_density(kappa: float, y: np.ndarray) -> np.ndarray:
+    """Density of the standard law: normal at kappa 1, else the variance
+    mixture as a log-sum-exp over the cached mixture nodes.
 
     Each row is shifted by its largest exponent, so the sum is positive and
     finite, and 0 only where the density itself underflows.
     """
-    half_inv_u, log_w = _nml_mixture_nodes(kappa)
     with np.errstate(over="ignore"):
         y2 = y * y
+    if kappa == 1.0:
+        return np.exp(-0.5 * y2) / math.sqrt(_TWO_PI)
+    half_inv_u, log_w = _nml_mixture_nodes(kappa)
     out = np.empty_like(y2)
     # chunk the exponent matrix to bound memory
     step = max(1, int(4e6 // log_w.size))
@@ -407,100 +415,6 @@ def _nml_mixture_density(kappa: float, y: np.ndarray) -> np.ndarray:
             expo -= shift[:, None]
             out[i : i + step] = np.exp(shift + np.log(np.exp(expo, out=expo).sum(axis=1)))
     return out
-
-
-# t-range of the quadrature core; beyond it the envelope E_k(-t^2/2) is
-# replaced by its algebraic expansion, whose cosine moments are closed-form
-_NML_CORE_CUT = 20.0
-_NML_TAIL_TERMS = 8
-_NML_YMAX = 48.0
-
-
-@lru_cache(maxsize=32)
-def _nml_core(kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed Gauss-Legendre layout on [0, core_cut] with weighted envelope.
-
-    Panel width resolves cos(t*y) for |y| up to _NML_YMAX; the envelope is
-    evaluated once per kappa and reused for every density call.
-    """
-    width = np.pi / (2.0 * _NML_YMAX)
-    n_panels = int(np.ceil(_NML_CORE_CUT / width))
-    t, w = _gl_panels(np.linspace(0.0, _NML_CORE_CUT, n_panels + 1), 12)
-    return t, w * mittag_leffler(kappa, -t * t / 2.0)
-
-
-def _cos_tail_table(a: np.ndarray, n_max: int) -> dict[int, np.ndarray]:
-    """C_n(a) = int_a^inf cos(s) s^-n ds by forward recursion from Si/Ci.
-
-    Forward recursion loses relative accuracy once a**n outgrows n!, so
-    callers must discard orders whose a-priori magnitude bound is negligible
-    (which is exactly the regime where the recursion degrades).
-    """
-    si, ci = sici(a)
-    cos_a, sin_a = np.cos(a), np.sin(a)
-    c = {1: -ci}
-    s = {1: np.pi / 2.0 - si}
-    for n in range(1, n_max):
-        an = a ** (-n)
-        s[n + 1] = (c[n] + sin_a * an) / n
-        c[n + 1] = (cos_a * an - s[n]) / n
-    return c
-
-
-def _nml_cosine_density(kappa: float, y: np.ndarray) -> np.ndarray:
-    """Density of the standard law by cosine-transform of E_k(-t^2/2), for
-    kappa < 1 and |y| <= _NML_YMAX; ~1e-9 absolute in the body, and not
-    sign-safe in the far tail."""
-    ay = np.abs(y)
-    if np.any(ay > _NML_YMAX):
-        raise EvaluationError(
-            f"density quadrature supports |y| <= {_NML_YMAX} in standard units"
-        )
-    t, wenv = _nml_core(kappa)
-    out = np.empty_like(ay)
-    # chunk the cosine matrix to bound memory
-    step = max(1, int(4e6 // t.size))
-    for i in range(0, ay.size, step):
-        blk = ay[i : i + step]
-        out[i : i + step] = np.cos(np.outer(blk, t)) @ wenv
-
-    m = np.arange(1, _NML_TAIL_TERMS + 1)
-    coef = (-1.0) ** (m - 1) * 2.0**m * rgamma(1.0 - kappa * m)
-    cut = _NML_CORE_CUT
-    tail = np.zeros_like(ay)
-    near_zero = ay < 1e-12
-    if near_zero.any():
-        tail[near_zero] = np.sum(coef * cut ** (1.0 - 2 * m) / (2 * m - 1.0))
-    far = ~near_zero
-    if far.any():
-        yy = ay[far]
-        a = cut * yy
-        ctab = _cos_tail_table(a, 2 * _NML_TAIL_TERMS)
-        acc = np.zeros_like(yy)
-        for mm in m:
-            # skip orders whose whole contribution is below 1e-14: their
-            # recursed values are unreliable exactly when negligible
-            bound = (
-                abs(coef[mm - 1])
-                * yy ** (2 * mm - 1)
-                * np.minimum(a ** (1.0 - 2 * mm) / (2 * mm - 1.0), 2.0 * a ** (-2.0 * mm))
-            )
-            keep = bound >= 1e-14
-            if keep.any():
-                acc[keep] += coef[mm - 1] * yy[keep] ** (2 * mm - 1) * ctab[2 * mm][keep]
-        tail[far] = acc
-    return (out + tail) / np.pi
-
-
-def _nml_standard_density(kappa: float, y: np.ndarray) -> np.ndarray:
-    """Density of the standard law: normal at kappa 1, the variance mixture
-    up to _NML_MIXTURE_KAPPA_MAX, the cosine transform above it."""
-    if kappa == 1.0:
-        with np.errstate(over="ignore"):
-            return np.exp(-0.5 * y * y) / math.sqrt(_TWO_PI)
-    if kappa <= _NML_MIXTURE_KAPPA_MAX:
-        return _nml_mixture_density(kappa, y)
-    return _nml_cosine_density(kappa, y)
 
 
 @dataclass(frozen=True)
@@ -529,14 +443,14 @@ class NmlLaw:
     def density(self, x):
         """Density f(x), symmetric about mu.
 
-        For kappa <= _NML_MIXTURE_KAPPA_MAX it is the paper's variance
-        mixture, f(y) = 2 * int_0^inf phi(y/v) g(v^2) dv in standard units y,
-        summed in log space on cached nodes: positive, relative error
-        ~1e-12 at moderate kappa, and 0 only where the value underflows.  At
-        kappa = 1 it is the normal density.  Between the cut and 1 it is the
-        cosine transform of E_k(-t^2/2): ~1e-9 absolute in the body, but
-        from |y| ~ 7 values can come out negative, and it raises
-        EvaluationError past |y| = 48.
+        For kappa < 1 it is the paper's variance mixture,
+        f(y) = 2 * int_0^inf phi(y/v) g(v^2) dv in standard units y, summed in
+        log space on ~1000-1300 cached nodes per kappa: positive, with no cap
+        on |y|, and 0 only where the value underflows.  Against the mpmath
+        oracles it is good to ~1e-13 relative in the body, up to kappa 0.999,
+        and to ~1e-12 in log f in the far tail.  At kappa = 1 it is the
+        normal density.  Above kappa 1 - 1e-6 the mixing density is
+        unresolved in double precision and it raises EvaluationError.
         """
         arr, shape = _as_array(x)
         z = (arr - self.mu) / self.sigma
@@ -544,37 +458,18 @@ class NmlLaw:
         return _ret(out, shape)
 
     def moment(self, n: int) -> float:
-        """Exact n-th raw moment E(X^n) as a finite sum."""
+        """Exact n-th raw moment E(X^n) as a finite sum: with X = mu + sigma*sqrt(U)*Z,
+        E(X^n) = sum_{m <= n/2} n!/(n-2m)! mu^(n-2m) sigma^(2m) 2^-m / Gamma(1+k m)."""
         if n < 1 or n != int(n):
             raise DomainError("moment order must be a positive integer")
         n = int(n)
-        mu, kappa = self.mu, self.kappa
-        sig = self.sigma
         total = 0.0
-        if n % 2 == 1:
-            for j in range((n - 1) // 2 + 1):
-                total += (
-                    math.exp(
-                        gammaln(n + 1.0)
-                        - gammaln(2 * j + 2.0)
-                        - gammaln(((n - 2 * j - 1) / 2.0) * kappa + 1.0)
-                    )
-                    * 2.0 ** ((2 * j + 1 - n) / 2.0)
-                    * sig ** (n - 2 * j - 1)
-                    * mu ** (2 * j + 1)
-                )
-        else:
-            for j in range(n // 2 + 1):
-                total += (
-                    math.exp(
-                        gammaln(n + 1.0)
-                        - gammaln(2 * j + 1.0)
-                        - gammaln((n / 2.0 - j) * kappa + 1.0)
-                    )
-                    * 2.0 ** (j - n / 2.0)
-                    * sig ** (n - 2 * j)
-                    * mu ** (2 * j)
-                )
+        for m in range(n // 2 + 1):
+            total += (
+                math.exp(gammaln(n + 1.0) - gammaln(n - 2 * m + 1.0) - gammaln(1.0 + self.kappa * m))
+                * self.mu ** (n - 2 * m)
+                * (self.sigma2 / 2.0) ** m
+            )
         return total
 
     def cumulants(self) -> tuple[float, float, float, float]:

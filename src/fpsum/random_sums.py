@@ -174,10 +174,6 @@ def _nml_cdf_grid(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     mass = before[piece] + chebyshev.chebval((y - mid[piece]) / hw[piece], anti[piece].T,
                                              tensor=False)
     mass[0] = 0.0
-    # above the mixture cut the density is a cosine transform, whose absolute
-    # error (~1e-9, either sign) far out exceeds its value and can make the
-    # running mass dip; the cdf must not
-    mass = np.maximum.accumulate(mass)
     upper = 0.5 + 0.5 * mass / mass[-1]
     x = np.concatenate((-y[:0:-1], y))
     cdf = np.concatenate((1.0 - upper[:0:-1], upper))

@@ -132,11 +132,14 @@ def _sum_series(terms, first, total, runs, tol, max_terms, stop_nonfinite=False)
     return total, peak, unconverged
 
 
-def _gl_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of ``order`` nodes on each panel between
-    consecutive ``edges``; returns (nodes, weights), panel by panel."""
-    xg, wg = roots_legendre(order)
-    lo, hi = edges[:-1], edges[1:]
+# Gauss-Legendre nodes and weights on [-1, 1]; building them costs ~0.2 ms
+_legendre = lru_cache(maxsize=8)(roots_legendre)
+
+
+def _gl_panels(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of ``order`` nodes on each panel [lo, hi];
+    returns (nodes, weights), panel by panel."""
+    xg, wg = _legendre(order)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
@@ -178,7 +181,7 @@ def _spectral_nodes(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     graded = theta0 + span * 0.5 ** np.arange(54, 0, -1)
     uniform = np.linspace(theta0 + span * 0.5, theta_hi, 25)
     edges = np.concatenate(([theta0], graded[:-1], uniform))
-    theta, weights = _gl_panels(edges, 16)
+    theta, weights = _gl_panels(edges[:-1], edges[1:], 16)
     # u(theta) = sin(kappa*pi)*tan(theta) - cos(kappa*pi), written without
     # cancellation near its zero at theta0
     u = np.sin(theta - theta0) / np.cos(theta)
@@ -194,7 +197,7 @@ def _log_step_nodes() -> tuple[np.ndarray, np.ndarray]:
     edges = np.concatenate(
         (np.linspace(_LOG_STEP_LEFT, -4.0, 14), np.linspace(-4.0, 4.2, 42)[1:])
     )
-    return _gl_panels(edges, 16)
+    return _gl_panels(edges[:-1], edges[1:], 16)
 
 
 # below this kappa the cut integral runs in the log variable: D(u) is
@@ -270,42 +273,128 @@ def _kanter_log(kappa: float, theta: np.ndarray) -> np.ndarray:
     )
 
 
+def _kanter_log_sides(kappa: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """log A(theta) from theta and phi = pi - theta, of which the smaller one
+    must be exact: each sine takes that one's argument, so log A keeps its
+    relative accuracy as theta -> pi, where ``_kanter_log`` loses it."""
+    c = 1.0 - kappa
+    return (
+        kappa / c * np.log(np.sin(np.minimum(kappa * theta, c * np.pi + kappa * phi)))
+        + np.log(np.sin(c * theta))
+        - np.log(np.sin(np.minimum(theta, phi))) / c
+    )
+
+
+# x = log(theta) up to theta = pi/2, 2 log(pi/2) - log(pi - theta) above
+_HALF_X = np.log(np.pi / 2)
+
+
+def _theta_phi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta and pi - theta at x, the smaller one exact."""
+    left = x <= _HALF_X
+    small = np.exp(np.where(left, x, 2.0 * _HALF_X - x))
+    return np.where(left, small, np.pi - small), np.where(left, np.pi - small, small)
+
+
+# log A is close to linear in x, which a table at this step inverts; past
+# pi - theta = 1e-30 it is -log(pi - theta)/(1-k) plus a constant, and a
+# step of 1 is exact there
+_KANTER_TABLE_STEP = 0.01
+
+
 @lru_cache(maxsize=64)
-def _kanter_nodes(kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Graded Gauss-Legendre nodes on (0, pi) with log A precomputed."""
-    half = np.pi / 2
-    left = half * 0.5 ** np.arange(40, 0, -1)
-    right = np.pi - half * 0.5 ** np.arange(1, 41)
-    edges = np.concatenate(([half * 0.5**40 * 0.5], left, right))
-    theta, weights = _gl_panels(edges, 16)
-    return theta, weights, _kanter_log(kappa, theta)
+def _kanter_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log A, x) for theta from 1e-5 to pi - 1e-300, both increasing."""
+    x_fine = 2.0 * _HALF_X - np.log(1e-30)
+    x = np.concatenate((np.arange(np.log(1e-5), x_fine, _KANTER_TABLE_STEP),
+                        np.arange(x_fine, 2.0 * _HALF_X - np.log(1e-300), 1.0)))
+    return _kanter_log_sides(kappa, *_theta_phi(x)), x
+
+
+# The theta integral of _mixing_density_log is split where z = y*A(theta)
+# crosses z0 + t, z0 = y*A(0+), for these t: e-fold steps from 40, where
+# z*exp(-z) is ~e^-36 of its peak, down to ~e^-35.  Levels below
+# min(z0, _MIX_FLANK)/e are dropped, since z >= z0: the first panel, from
+# theta = 0, then ends by z = 2 z0, or by t = 0.1 on the flank z0 >= 1, and
+# stays short next to its distance from the pole of A at pi.
+_MIX_LEVELS = 40.0 * np.exp(-np.arange(40.0))
+_MIX_FLANK = 0.25
+_MIX_PHI_RATIO = 4.0
+# past this z0, log g < -1e6 and the table no longer resolves the flank:
+# the log density is -inf there
+_MIX_Z0_MAX = 1e6
+# above this kappa, log A ~ 1/(1-k) is too large for double precision to
+# place the spike: log g at the mean is off by 1.3e-11 at 1 - 1e-6, but by
+# 5.9e-10 at 1 - 1e-7, and the NML density at 0 by 5e-7
+_MIXING_KAPPA_MAX = 1.0 - 1e-6
 
 
 def _mixing_density_log(kappa: float, u: np.ndarray) -> np.ndarray:
     """log density of the positive law with moment generating function E_k.
 
     Change of variables through the one-sided stable density:
-    f(u) = u**(k/(1-k)) / (pi*(1-k)) * int_0^pi A(t) exp(-u**(1/(1-k)) A(t)) dt.
-    Stable for every u > 0 (kappa < 1); returned in log form so callers can
-    weigh it against large exponential factors.
+    f(u) = u**(k/(1-k)) / (pi*(1-k)) * int_0^pi A(t) exp(-y A(t)) dt with
+    y = u**(1/(1-k)).  In z = y*A the integrand is z*exp(-z)/y, a spike in
+    t that narrows as kappa -> 1, so each u gets its own 16-point panels,
+    split where z crosses the levels z0 + _MIX_LEVELS (Nolan 1997 splits the
+    stable integral at its peak the same way).  Panels past t = pi/2 run in
+    pi - t.  Returned in log form so callers can weigh it against large
+    exponential factors; -inf where z0 > _MIX_Z0_MAX.  Raises
+    EvaluationError for u so small that the spike lies within 1e-300 of pi,
+    and for kappa above _MIXING_KAPPA_MAX.
     """
-    _, w, log_a = _kanter_nodes(kappa)
-    log_y = np.log(u) / (1.0 - kappa)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        # y*A formed as exp(log y + log A): overflow saturates to inf (the
-        # node contributes nothing) without ever producing inf*0
-        expo = log_a[None, :] - np.exp(log_y[:, None] + log_a[None, :])
-        shift = expo.max(axis=1)
-        dead = ~np.isfinite(shift)
-        shift = np.where(dead, 0.0, shift)
-        inner = np.exp(expo - shift[:, None]) @ w
-        out = (
-            kappa / (1.0 - kappa) * np.log(u)
-            - np.log(np.pi * (1.0 - kappa))
-            + shift
-            + np.log(inner)
+    if kappa > _MIXING_KAPPA_MAX:
+        raise EvaluationError(
+            f"mixing density integral unresolved above kappa = 1 - 1e-6, got {kappa}"
         )
-    return np.where(dead, -np.inf, out)
+    c = 1.0 - kappa
+    log_y = np.log(u) / c
+    log_z0 = log_y + np.log(c) + kappa / c * np.log(kappa)
+    with np.errstate(over="ignore"):
+        z0 = np.exp(log_z0)
+    out = np.full(u.shape, -np.inf)
+    live = np.flatnonzero(z0 <= _MIX_Z0_MAX)
+    log_y, log_z0, z0 = log_y[live], log_z0[live], z0[live]
+    # one panel per kept level, ending at its crossing; a row's panels run
+    # down in t, and its last one starts at t = 0
+    rows, cols = np.nonzero(_MIX_LEVELS >= np.minimum(z0, _MIX_FLANK)[:, None] / np.e)
+    log_a = np.logaddexp(log_z0[rows], np.log(_MIX_LEVELS[cols])) - log_y[rows]
+    table_log_a, table_x = _kanter_table(kappa)
+    if log_a.size and log_a.max() > table_log_a[-1]:
+        raise EvaluationError(
+            f"mixing density integral unresolved at u = {u[live].min():.3g} (kappa={kappa})"
+        )
+    x_hi = np.interp(log_a, table_log_a, table_x)
+    x_lo = np.append(x_hi[1:], -np.inf)
+    x_lo[np.append(rows[1:] != rows[:-1], True)] = -np.inf
+    (theta_lo, phi_lo), (theta_hi, phi_hi) = _theta_phi(x_lo), _theta_phi(x_hi)
+    right = x_hi > _HALF_X
+    lo, hi = np.where(right, phi_hi, theta_lo), np.where(right, phi_lo, theta_hi)
+    # a panel in pi - t spans at most a factor _MIX_PHI_RATIO, which keeps
+    # it far from the pole of A at pi next to its width; at small kappa A
+    # is flat up to pi - t ~ kappa, and one level can span most of (0, pi)
+    ratio = np.divide(hi, lo, out=np.ones_like(lo), where=right)
+    parts = np.maximum(np.ceil(np.log(ratio) / np.log(_MIX_PHI_RATIO)), 1.0).astype(int)
+    panel = np.repeat(np.arange(parts.size), parts)
+    parts, ratio, lo, hi = parts[panel], ratio[panel], lo[panel], hi[panel]
+    step = np.arange(panel.size) - np.searchsorted(panel, panel)
+    split = parts > 1
+    lo, hi = (np.where(split, lo * ratio ** (step / parts), lo),
+              np.where(split, lo * ratio ** ((step + 1) / parts), hi))
+    rows, right = rows[panel], right[panel]
+    nodes, w = _gl_panels(lo, hi, 16)
+    nodes, w, right = nodes.reshape(-1, 16), w.reshape(-1, 16), right[:, None]
+    log_a = _kanter_log_sides(
+        kappa, np.where(right, np.pi - nodes, nodes), np.where(right, nodes, np.pi - nodes)
+    )
+    # log of the integrand's peak: at z = 1, or at t = 0 past it
+    peak = np.maximum(z0, 1.0)
+    shift = np.log(peak) - peak - log_y
+    with np.errstate(under="ignore"):
+        vals = np.exp(log_a - np.exp(log_y[rows, None] + log_a) - shift[rows, None])
+    inner = np.bincount(rows, (vals * w).sum(axis=1), minlength=live.size)
+    out[live] = kappa * log_y - np.log(np.pi * c) + shift + np.log(inner)
+    return out
 
 
 def mittag_leffler(kappa, z):

@@ -29,13 +29,23 @@ independent of the library's own evaluation paths:
 * ``nml_high_kappa`` -- f(y) at kappa 0.9 and 0.95: the closed form
                    1/(sqrt(2) Gamma(1 - k/2)) at y = 0, the Laplace-window
                    integral of ``nml_tail`` at y = 1 and 3.
+* ``mixing_near_one`` -- the mixing density at kappa 0.99 to 0.999, where
+                   its series is infeasible past u ~ 1, by the stable
+                   integral split at its spike (``mixing_density_split_mp``).
+* ``nml_near_one`` -- log f(y) at kappa 0.995 and 0.999: the closed form at
+                   y = 0, and at y = 1, 3 and 10 a double integral over the
+                   representation sqrt(U) Z, U = (W/A(Theta))**(1-k)
+                   (``nml_density_split_mp``), which needs no mixing density.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
+      python tests/data/make_reference.py mixing_near_one nml_near_one
+      (recomputes only those sections and keeps the others as they are)
 """
 
 import json
 import math
 import pathlib
+import sys
 
 import mpmath as mp
 
@@ -254,6 +264,170 @@ def nml_high_kappa_section():
     return rows
 
 
+def gl_adaptive_mp(f, edges, rel_tol):
+    """int f over [edges[0], edges[-1]] by 16- and 24-node Gauss-Legendre
+    sums per panel between consecutive edges.  A panel is halved until its
+    two sums agree to rel_tol times the first pass's total; its 24-node sum
+    is kept.  Tanh-sinh (``mp.quad``) is not used: it misjudges its error
+    on integrands that fall steeply from an endpoint, which these do."""
+    rules = [mp.gauss_quadrature(n, "legendre") for n in (16, 24)]
+
+    def both(a, b):
+        mid, half = (a + b) / 2, (b - a) / 2
+        return [half * mp.fsum(w * f(mid + half * x) for x, w in zip(xs, ws))
+                for xs, ws in rules]
+
+    panels = [(a, b, both(a, b)) for a, b in zip(edges[:-1], edges[1:])]
+    tol = rel_tol * abs(mp.fsum(fine for _, _, (_, fine) in panels))
+    total = mp.mpf(0)
+    while panels:
+        a, b, (coarse, fine) = panels.pop()
+        if abs(fine - coarse) <= tol:
+            total += fine
+        else:
+            mid = (a + b) / 2
+            panels += [(a, mid, both(a, mid)), (mid, b, both(mid, b))]
+    return total
+
+
+def kanter_log_mp(k, theta):
+    """log A(theta) at mp precision: through sinc up to pi/2, so nothing
+    cancels near 0, and through phi = pi - theta above, so phi stays exact
+    near pi."""
+    c = 1 - k
+    if theta <= mp.pi / 2:
+        return (c * mp.log(c) + k * mp.log(k) + k * mp.log(mp.sinc(k * theta))
+                + c * mp.log(mp.sinc(c * theta)) - mp.log(mp.sinc(theta))) / c
+    phi = mp.pi - theta
+    return (k / c * mp.log(mp.sin(c * mp.pi + k * phi)) + mp.log(mp.sin(c * theta))
+            - mp.log(mp.sin(phi)) / c)
+
+
+def mixing_density_split_mp(kappa, u, dps=20):
+    """Mixing density by its stable integral,
+    g(u) = u**(k/(1-k)) / (pi (1-k)) * int_0^pi A e^(-y A) dtheta, y = u**(1/(1-k)).
+
+    In z = y A(theta) the integrand is z e^(-z) / y, a spike in theta that
+    narrows as kappa -> 1 (Nolan 1997 splits the stable integral at its
+    peak).  The panels break where z crosses z0 + 40 e^(-j), z0 = y A(0+),
+    down to the larger of e^(-36) and min(z0, 1/4)/e, at crossings found by
+    bisection; ``gl_adaptive_mp`` then refines them.  The working precision
+    grows with log10(z0), since z0 + t must be resolved.  Valid for every u
+    > 0; the cost does not grow with u**(1/(1-k)) as the series' does.
+    """
+    with mp.workdps(30):
+        k = mp.mpf(repr(kappa))
+        z0 = mp.mpf(repr(u)) ** (1 / (1 - k)) * (1 - k) * k ** (k / (1 - k))
+    with mp.workdps(dps + 10 + max(0, int(mp.log10(z0)))):
+        k = mp.mpf(repr(kappa))
+        uu = mp.mpf(repr(u))
+        c = 1 - k
+        log_y = mp.log(uu) / c
+        z0 = mp.exp(log_y) * c * k ** (k / c)
+        levels = []
+        t = mp.mpf(40)
+        while t >= max(mp.exp(-36), min(z0, mp.mpf(0.25)) / mp.e):
+            levels.append(t)
+            t /= mp.e
+        edges = [mp.mpf(0)]
+        for t in reversed(levels):
+            target = mp.log(z0 + t) - log_y
+            lo, hi = edges[-1], mp.pi
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if kanter_log_mp(k, mid) < target else (lo, mid)
+            edges.append((lo + hi) / 2)
+        edges.append(mp.pi)
+
+        def integrand(theta):
+            log_a = kanter_log_mp(k, theta)
+            return mp.exp(log_a - mp.exp(log_y + log_a))
+
+        total = gl_adaptive_mp(integrand, edges, mp.mpf(10) ** -(dps - 2))
+        return uu ** (k / c) / (mp.pi * c) * total
+
+
+def nml_density_split_mp(kappa, y, dps=20):
+    """f(y) of the standard NML law from X = sqrt(U) Z with U = (W/A(Theta))**(1-k),
+    W unit exponential and Theta uniform on (0, pi):
+
+        f(y) = (1/pi) int_0^pi G(log A(theta)) dtheta,
+        G(lam) = int e^(s - e^s) k_y(e^((1-k)(s - lam))) ds,
+
+    with w = e^s and k_y(u) = exp(-y^2/(2u)) / sqrt(2 pi u).  No mixing
+    density enters.  G uses 16-node panels on s in [-45, 4.5], where the
+    Gumbel weight e^(s - e^s) lives (past 4.5 it is below e^-85); the outer
+    integral runs in theta up to pi/2 and in pi - theta, on panels halving
+    toward pi down to 2^-30 pi/2, through ``gl_adaptive_mp``.  For y != 0
+    only: at y = 0, G grows like A**((1-k)/2) toward pi.
+    """
+    with mp.workdps(dps + 10):
+        k = mp.mpf(repr(kappa))
+        yy = mp.mpf(repr(y))
+        c = 1 - k
+        xs, ws = mp.gauss_quadrature(16, "legendre")
+        cuts = [-45, -30, -20, -12, -7, -4, -2, -1, 0, 1, 2, 3, 4.5]
+        nodes, weights = [], []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            mid, half = mp.mpf(a + b) / 2, mp.mpf(b - a) / 2
+            for x, w in zip(xs, ws):
+                s = mid + half * x
+                nodes.append(s)
+                weights.append(half * w * mp.exp(s - mp.exp(s)))
+
+        def big_g(lam):
+            total = mp.mpf(0)
+            for s, w in zip(nodes, weights):
+                u = mp.exp(c * (s - lam))
+                total += w * mp.exp(-yy * yy / (2 * u)) / mp.sqrt(2 * mp.pi * u)
+            return total
+
+        rel = mp.mpf(10) ** -(dps - 4)
+        half = mp.pi / 2
+        phis = [half * mp.mpf(2) ** -j for j in range(30, -1, -1)]
+        left = gl_adaptive_mp(lambda t: big_g(kanter_log_mp(k, t)), [mp.mpf(0), half / 2, half], rel)
+        right = gl_adaptive_mp(lambda p: big_g(kanter_log_mp(k, mp.pi - p)), [mp.mpf(0)] + phis, rel)
+        return (left + right) / mp.pi
+
+
+def mixing_near_one_section():
+    """[kappa, u, g(u)] rows at the mean + {0, +-1, +-3, +-6} sd of U, where
+    g is a normal double, and at u = 0.01, 0.3, 0.8."""
+    rows = []
+    for kap in [0.99, 0.995, 0.999]:
+        mean = 1.0 / math.gamma(1.0 + kap)
+        sd = math.sqrt(2.0 / math.gamma(1.0 + 2.0 * kap) - mean * mean)
+        a0 = (1.0 - kap) * kap ** (kap / (1.0 - kap))
+        for u in [mean + j * sd for j in (-6, -3, -1, 0, 1, 3, 6)] + [0.01, 0.3, 0.8]:
+            # past z0 = 800, g < e^-800 is no double at all
+            if math.log(a0) + math.log(u) / (1.0 - kap) > math.log(800.0):
+                continue
+            val = float(mixing_density_split_mp(kap, u))
+            if val >= sys.float_info.min:
+                rows.append([kap, u, val])
+    return rows
+
+
+def nml_near_one_section():
+    """[kappa, y, log f(y)] rows: the closed form at y = 0, the
+    representation integral at y = 1, 3 and 10."""
+    rows = []
+    for kap in [0.995, 0.999]:
+        with mp.workdps(30):
+            k = mp.mpf(repr(kap))
+            rows.append([kap, 0.0, float(-mp.log(mp.sqrt(2) * mp.gamma(1 - k / 2)))])
+        for y in [1.0, 3.0, 10.0]:
+            rows.append([kap, y, float(mp.log(nml_density_split_mp(kap, y)))])
+    return rows
+
+
+# sections that can be recomputed on their own, by name on the command line
+SECTIONS = {
+    "mixing_near_one": mixing_near_one_section,
+    "nml_near_one": nml_near_one_section,
+}
+
+
 def fp_pmf_mp(nu, kappa, n, rel_dps=25):
     """P(N = n) = nu^n/n! sum_i (-nu)^i (i+n)! / (i! Gamma(k(i+n) + 1)).
 
@@ -324,7 +498,7 @@ def comp_log_normalizer_mp(lam, eta, dps=40):
         return mp.log(s)
 
 
-def main():
+def all_sections():
     out = {"ml": [], "ml_pos": [], "mixing": [], "nml": [], "comp_logh": [],
            "mixing_high_kappa": []}
 
@@ -369,11 +543,22 @@ def main():
     out["fp_pmf"] = fp_pmf_section()
     out["nml_tail"] = nml_tail_section()
     out["nml_high_kappa"] = nml_high_kappa_section()
+    for name, section in SECTIONS.items():
+        out[name] = section()
+    return out
 
+
+def main(names):
     path = pathlib.Path(__file__).with_name("reference.json")
+    if names:
+        out = json.loads(path.read_text())
+        for name in names:
+            out[name] = SECTIONS[name]()
+    else:
+        out = all_sections()
     path.write_text(json.dumps(out, indent=1))
     print(f"wrote {path}: " + ", ".join(f"{k}={len(v)}" for k, v in out.items()))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

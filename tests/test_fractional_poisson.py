@@ -3,7 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import chdtrc, gammaln
 
-from fpsum.distributions import FractionalPoissonLaw, RngStream
+from fpsum.distributions import (
+    FractionalPoissonLaw,
+    RngStream,
+    _fp_mixture_range,
+    _mixture_nodes,
+)
 from fpsum.errors import DomainError, EvaluationError
 from fpsum.special_functions import mittag_leffler
 
@@ -43,6 +48,19 @@ class TestPmf:
         law = FractionalPoissonLaw(nu, kappa)
         n = np.arange(400)
         assert abs(law.pmf(n).sum() - 1.0) <= 1e-8
+
+    def test_mixture_range_holds_the_integrand(self):
+        # nu 30, kappa 0.3: the largest count's Laplace window ends near
+        # u = 5, far inside the mixing density's own e^-46 point (u = 26.9);
+        # the range it sets loses nothing against one twice as wide, on
+        # panels laid out differently
+        n = np.arange(41)
+        u_hi, panels = _fp_mixture_range(30.0, 0.3, 40.0)
+        assert u_hi < 6.0
+        u, w, dens = _mixture_nodes(0.3, 2.0 * u_hi, 2 * panels + 1)
+        wide = np.exp(n[:, None] * np.log(30.0 * u) - 30.0 * u - gammaln(n + 1.0)[:, None]) @ (w * dens)
+        got = FractionalPoissonLaw(30.0, 0.3).pmf(n, branch="mixture")
+        assert_allclose(got, wide, rtol=1e-13)
 
     def test_series_branch_failure_points_at_mixture(self):
         law = FractionalPoissonLaw(20.0, 0.3)

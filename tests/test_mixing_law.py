@@ -1,10 +1,23 @@
+import importlib.util
+import math
+import pathlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gamma, roots_legendre
 
 from fpsum.distributions import MittagLefflerLaw, RngStream
-from fpsum.errors import DomainError
-from fpsum.special_functions import mittag_leffler
+from fpsum.errors import DomainError, EvaluationError
+from fpsum.special_functions import _mixing_density_log, mittag_leffler
+
+
+def load_make_reference():
+    path = pathlib.Path(__file__).parent / "data" / "make_reference.py"
+    spec = importlib.util.spec_from_file_location("make_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestDensity:
@@ -18,6 +31,62 @@ class TestDensity:
         for kappa, u, want in reference["mixing"] + reference["mixing_high_kappa"]:
             got = MittagLefflerLaw(kappa).density(u)
             assert_allclose(got, want, rtol=1e-9, err_msg=f"kappa={kappa}, u={u}")
+
+    def test_near_one_against_reference(self, reference):
+        # past u ~ 1 the series does not converge there, and the stable
+        # integral must resolve its spike
+        for kappa, u, want in reference["mixing_near_one"]:
+            got = MittagLefflerLaw(kappa).density(u)
+            assert_allclose(got, want, rtol=1e-9, err_msg=f"kappa={kappa}, u={u}")
+
+    def test_log_form_against_reference(self, reference):
+        # the stable integral on its own, also where the density takes the
+        # series, as at small u near kappa 1
+        rows = reference["mixing"] + reference["mixing_high_kappa"] + reference["mixing_near_one"]
+        for kappa, u, want in rows:
+            got = _mixing_density_log(kappa, np.array([u]))[0]
+            assert_allclose(got, np.log(want), rtol=0, atol=1e-9, err_msg=f"kappa={kappa}, u={u}")
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.01])
+    def test_log_form_meets_series_at_small_kappa(self, kappa):
+        # A is flat up to pi - t ~ kappa there, so one level of the split
+        # can span most of (0, pi); the series is exact at these u
+        u = np.array([0.5, 1.0, 2.0])
+        assert_allclose(
+            np.exp(_mixing_density_log(kappa, u)), MittagLefflerLaw(kappa).density(u), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("kappa", [0.99, 0.995, 0.999])
+    def test_mass_and_mean_near_one(self, kappa):
+        # the mass sits within a few sd of the mean, over a long left tail
+        mean = 1.0 / gamma(1.0 + kappa)
+        sd = math.sqrt(2.0 / gamma(1.0 + 2.0 * kappa) - mean * mean)
+        edges = np.concatenate(
+            (np.linspace(0.0, mean - 8.0 * sd, 100), np.linspace(mean - 8.0 * sd, mean + 8.0 * sd, 400)[1:])
+        )
+        xg, wg = roots_legendre(16)
+        mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+        u, w = (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+        with np.errstate(under="ignore"):
+            g = MittagLefflerLaw(kappa).density(u)
+        assert abs(w @ g - 1.0) <= 1e-9
+        assert abs(w @ (u * g) - mean) <= 1e-9
+
+    def test_split_oracle_reproduces_reference(self, reference):
+        make_reference = load_make_reference()
+        rows = reference["mixing_near_one"]
+        for kappa, u, want in (rows[3], rows[-1]):
+            got = float(make_reference.mixing_density_split_mp(kappa, u))
+            assert_allclose(got, want, rtol=1e-15, err_msg=f"kappa={kappa}, u={u}")
+
+    def test_unresolved_arguments_raise(self):
+        # the spike of the stable integral moves to within 1e-300 of pi as
+        # u -> 0, and past kappa 1 - 1e-6 double precision cannot place it
+        with pytest.raises(EvaluationError):
+            _mixing_density_log(0.5, np.array([1e-305]))
+        with pytest.raises(EvaluationError):
+            MittagLefflerLaw(1.0 - 1e-7).density(1.0)
+        assert np.isfinite(_mixing_density_log(1.0 - 1e-6, np.array([1.0])))
 
     def test_far_tail_bound(self):
         val = MittagLefflerLaw(0.9).density(1e6)
