@@ -18,13 +18,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+# numpy loads numpy.random lazily; importing it with the package keeps that
+# cost out of the first RngStream
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import DomainError, EvaluationError
 from .special_functions import (
     _check_kappa,
     _gl_panels,
     _kanter_log,
+    _log_gamma,
     _mixing_density_log,
     _sum_series,
     mittag_leffler,
@@ -55,9 +58,7 @@ class RngStream:
             raise DomainError("seed and stream_id must be unsigned 64-bit integers")
         self.seed = seed
         self.stream_id = stream_id
-        self.generator = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, stream_id)))
-        )
+        self.generator = Generator(PCG64(SeedSequence((seed, stream_id))))
 
     def child(self, stream_id: int) -> "RngStream":
         """Fresh stream with the same seed and a new stream_id."""
@@ -102,7 +103,7 @@ def _mixing_series(
     log_u = np.log(u)
 
     def terms(rows, j):
-        lt = gammaln(kappa * j + 1.0) - gammaln(j + 1.0) + (j - 1) * log_u[rows, None]
+        lt = _log_gamma(kappa * j + 1.0) - _log_gamma(j + 1.0) + (j - 1) * log_u[rows, None]
         return (-1.0) ** (j - 1) * np.sin(np.pi * kappa * j) * np.exp(lt)
 
     total, peak, unconverged = _sum_series(
@@ -170,7 +171,7 @@ class MittagLefflerLaw:
         return float(out[0]) if size is None else out
 
     def mean(self) -> float:
-        return math.exp(-gammaln(self.kappa + 1.0))
+        return 1.0 / math.gamma(self.kappa + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +184,19 @@ _FP_SERIES_MAX_TERMS = 2000
 def _fp_pmf_series(nu: float, kappa: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alternating pmf series; returns (values, max |term|) per count."""
     log_nu = math.log(nu)
-    prefix = n * log_nu - gammaln(n + 1.0)
+    prefix = n * log_nu - _log_gamma(n + 1.0)
 
     def terms(rows, i):
-        na = n[rows, None]
+        # the block's log-gammas depend on k = i + n alone, and neighbouring
+        # counts share most k: evaluate each distinct k once
+        ik = i + n[rows, None]
+        k, at = np.unique(ik, return_inverse=True)
+        at = at.reshape(ik.shape)
         lt = (
-            gammaln(i + na + 1.0)
-            - gammaln(i + 1.0)
+            _log_gamma(k + 1.0)[at]
+            - _log_gamma(i + 1.0)
             + i * log_nu
-            - gammaln(kappa * (i + na) + 1.0)
+            - _log_gamma(kappa * k + 1.0)[at]
         )
         return (-1.0) ** i * np.exp(prefix[rows, None] + lt)
 
@@ -238,7 +243,7 @@ def _fp_pmf_mixture(nu: float, kappa: float, n: np.ndarray) -> np.ndarray:
     log_pois = (
         n[:, None] * np.log(nu * u)[None, :]
         - (nu * u)[None, :]
-        - gammaln(n + 1.0)[:, None]
+        - _log_gamma(n + 1.0)[:, None]
     )
     with np.errstate(under="ignore"):
         return np.exp(log_pois) @ (w * dens)
@@ -263,7 +268,12 @@ class FractionalPoissonLaw:
             "auto"     series where its estimated error is ~1e-10 or less,
                        otherwise mixture quadrature;
             "series"   alternating series only; raises EvaluationError with a
-                       pointer at the mixture branch when unsafe;
+                       pointer at the mixture branch when unsafe.  Its only
+                       guard is a 4e4 ratio of the largest term to the sum,
+                       which lets errors well above 1e-10 through: at (nu 1,
+                       kappa 0.6, n 40) the value is 2.5e-9 off the mpmath
+                       oracle, and ulp-level changes of log Gamma move it by
+                       3.6e-9.  "auto" holds such counts to ~1e-10;
             "mixture"  quadrature against the mixing density only.
         """
         arr, shape = _as_array(n, dtype=None)
@@ -275,7 +285,7 @@ class FractionalPoissonLaw:
             raise DomainError(f"unknown branch {branch!r}")
         narr = arr.astype(float)
         if self.kappa == 1.0:
-            out = np.exp(narr * math.log(self.nu) - self.nu - gammaln(narr + 1.0))
+            out = np.exp(narr * math.log(self.nu) - self.nu - _log_gamma(narr + 1.0))
             return _ret(out, shape)
         if branch == "mixture":
             return _ret(_fp_pmf_mixture(self.nu, self.kappa, narr), shape)
@@ -288,7 +298,7 @@ class FractionalPoissonLaw:
                 # a term is the exp of log-gammas as large as log(n!), so its
                 # rounding grows with n: the sum's relative error is about
                 # eps * peak/|value| * (10 + log(n!)); keep it near 1e-10
-                exact = peaks * (10.0 + gammaln(narr + 1.0)) <= 4e5 * floor
+                exact = peaks * (10.0 + _log_gamma(narr + 1.0)) <= 4e5 * floor
                 if not exact.all():
                     vals[~exact] = _fp_pmf_mixture(self.nu, self.kappa, narr[~exact])
                 return _ret(vals, shape)
@@ -310,8 +320,8 @@ class FractionalPoissonLaw:
 
     def mean_var(self) -> tuple[float, float]:
         """Exact mean and variance."""
-        g1 = math.exp(gammaln(self.kappa + 1.0))
-        g2 = math.exp(gammaln(2.0 * self.kappa + 1.0))
+        g1 = math.gamma(self.kappa + 1.0)
+        g2 = math.gamma(2.0 * self.kappa + 1.0)
         mean = self.nu / g1
         var = mean + mean**2 * (2.0 * g1**2 / g2 - 1.0)
         return mean, var
@@ -466,7 +476,11 @@ class NmlLaw:
         total = 0.0
         for m in range(n // 2 + 1):
             total += (
-                math.exp(gammaln(n + 1.0) - gammaln(n - 2 * m + 1.0) - gammaln(1.0 + self.kappa * m))
+                math.exp(
+                    _log_gamma(n + 1.0)
+                    - _log_gamma(n - 2 * m + 1.0)
+                    - _log_gamma(1.0 + self.kappa * m)
+                )
                 * self.mu ** (n - 2 * m)
                 * (self.sigma2 / 2.0) ** m
             )
@@ -474,8 +488,8 @@ class NmlLaw:
 
     def cumulants(self) -> tuple[float, float, float, float]:
         """(mean, variance, skewness, excess kurtosis)."""
-        g1 = math.exp(gammaln(self.kappa + 1.0))
-        g2 = math.exp(gammaln(2.0 * self.kappa + 1.0))
+        g1 = math.gamma(self.kappa + 1.0)
+        g2 = math.gamma(2.0 * self.kappa + 1.0)
         return (self.mu, self.sigma2 / g1, 0.0, 6.0 * g1 * g1 / g2 - 3.0)
 
     def sample(self, rng: RngStream, size=None):
@@ -533,7 +547,7 @@ class CompLaw:
         j_hi = block
         while True:
             j = np.arange(j_hi, dtype=float)
-            lt = j * log_lam - self.eta * gammaln(j + 1.0)
+            lt = j * log_lam - self.eta * _log_gamma(j + 1.0)
             shift = lt.max()
             partial = shift + math.log(np.exp(lt - shift).sum())
             if lt[-1] - partial < math.log(_COMP_TRUNC_TOL) and j_hi > j_min:

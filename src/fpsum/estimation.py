@@ -34,11 +34,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, psi
 
 from .distributions import NmlLaw
 from .errors import DomainError, EstimationError
-from .special_functions import _check_kappas
+from .special_functions import _check_kappas, _digamma, _log_gamma
 
 __all__ = [
     "BoundaryFlag",
@@ -197,11 +196,11 @@ def _as_float(arr):
 
 
 def _h(kappa):
-    return np.exp(2.0 * gammaln(kappa + 1.0) - gammaln(2.0 * kappa + 1.0))
+    return np.exp(2.0 * _log_gamma(kappa + 1.0) - _log_gamma(2.0 * kappa + 1.0))
 
 
 def _h_prime(kappa, h_value):
-    return h_value * 2.0 * (psi(kappa + 1.0) - psi(2.0 * kappa + 1.0))
+    return h_value * 2.0 * (_digamma(kappa + 1.0) - _digamma(2.0 * kappa + 1.0))
 
 
 def h(kappa):
@@ -284,8 +283,8 @@ def h_inverse(omega):
 def population_moments(mu, sigma2, kappa):
     """Exact (E Y, E Y^2, E Y^4) of the location-scale law; broadcasts."""
     kappa = _check_kappas(kappa)
-    a = np.exp(-gammaln(kappa + 1.0))
-    b = 6.0 * np.exp(-gammaln(2.0 * kappa + 1.0))
+    a = np.exp(-_log_gamma(kappa + 1.0))
+    b = 6.0 * np.exp(-_log_gamma(2.0 * kappa + 1.0))
     m1 = mu
     m2 = mu**2 + sigma2 * a
     m4 = mu**4 + 6.0 * mu**2 * sigma2 * a + sigma2**2 * b
@@ -301,10 +300,10 @@ def moment_covariance(mu, sigma2, kappa) -> np.ndarray:
     s2 = np.asarray(sigma2, dtype=float)
     if not np.all(s2 > 0):
         raise DomainError("sigma2 must be positive")
-    g1 = np.exp(gammaln(kappa + 1.0))
-    g2 = np.exp(gammaln(2.0 * kappa + 1.0))
-    g3 = np.exp(gammaln(3.0 * kappa + 1.0))
-    g4 = np.exp(gammaln(4.0 * kappa + 1.0))
+    g1 = np.exp(_log_gamma(kappa + 1.0))
+    g2 = np.exp(_log_gamma(2.0 * kappa + 1.0))
+    g3 = np.exp(_log_gamma(3.0 * kappa + 1.0))
+    g4 = np.exp(_log_gamma(4.0 * kappa + 1.0))
     cov = np.empty(np.broadcast_shapes(np.shape(mu), s2.shape, np.shape(kappa)) + (3, 3))
     cov[..., 0, 0] = s2 / g1
     cov[..., 0, 1] = cov[..., 1, 0] = 2.0 * mu * s2 / g1
@@ -356,8 +355,8 @@ def moment_map_gradient(x, y, z) -> np.ndarray:
         raise EstimationError("degenerate moment point: m2 <= m1^2")
     omega = numerator / (6.0 * d**2)
     kappa, _ = h_inverse(omega)
-    gk = np.exp(gammaln(kappa + 1.0))
-    gk_prime = gk * psi(kappa + 1.0)
+    gk = np.exp(_log_gamma(kappa + 1.0))
+    gk_prime = gk * _digamma(kappa + 1.0)
     hp = _h_prime(kappa, _h(kappa))
     dk_dx = (4.0 * x**3 * y - 6.0 * x * y**2 + 2.0 * x * z) / (3.0 * d**3) / hp
     dk_dy = (-2.0 * x**4 + 3.0 * x**2 * y - z) / (3.0 * d**3) / hp
@@ -389,7 +388,7 @@ def asymptotic_covariance(mu, sigma2, kappa) -> np.ndarray:
     if not np.all(s2 > 0):
         raise DomainError("sigma2 must be positive")
     mu = np.asarray(mu, dtype=float)
-    g1, g2, g3, g4 = (np.exp(gammaln(j * kappa + 1.0)) for j in (1.0, 2.0, 3.0, 4.0))
+    g1, g2, g3, g4 = (np.exp(_log_gamma(j * kappa + 1.0)) for j in (1.0, 2.0, 3.0, 4.0))
     a2, a4, a6, a8 = s2 / g1, 6.0 * s2**2 / g2, 90.0 * s2**3 / g3, 2520.0 * s2**4 / g4
     shape = np.broadcast_shapes(mu.shape, s2.shape, np.shape(kappa))
     # covariance of (X, X^2, X^3, X^4); the odd moments of X vanish
@@ -409,7 +408,7 @@ def asymptotic_covariance(mu, sigma2, kappa) -> np.ndarray:
     dk /= (6.0 * a2**2 * _h_prime(kappa, _h(kappa)))[..., None]
     grad = np.zeros(shape + (3, 4))
     grad[..., 0, 0] = 1.0
-    grad[..., 1, :] = (a2 * g1 * psi(kappa + 1.0))[..., None] * dk
+    grad[..., 1, :] = (a2 * g1 * _digamma(kappa + 1.0))[..., None] * dk
     grad[..., 1, 1] += g1
     grad[..., 2, :] = dk
     out = grad @ sigma @ np.swapaxes(grad, -1, -2)
@@ -437,7 +436,7 @@ def mm_fit_many(n, m1, variance, kurtosis_numerator) -> FitBatch:
         raise EstimationError("degenerate sample: zero variance")
     omega = np.asarray(kurtosis_numerator, dtype=float) / (6.0 * d**2)
     kappa_hat, codes = _invert_h(omega)
-    sigma2_hat = d * np.exp(gammaln(kappa_hat + 1.0))
+    sigma2_hat = d * np.exp(_log_gamma(kappa_hat + 1.0))
     cov = asymptotic_covariance(m1, sigma2_hat, kappa_hat)
     se = np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0) / sizes[..., None])
     se[codes != _INTERIOR, 2] = np.nan

@@ -163,6 +163,16 @@ class TestNmlCdf:
             report.distances, (0.036324416178469654, 0.009334793655171092), rtol=0, atol=1e-6
         )
 
+    def test_comp_sweep_distances_frozen(self):
+        # KS distances recorded while the comp target was scipy's ndtr; the
+        # kappa 1 table of nml_cdf moves them by ~5e-9
+        report = convergence_sweep(
+            "comp", (10, 1000), SummandSpec(), 20000, RngStream(5), eta=1.5
+        )
+        np.testing.assert_allclose(
+            report.distances, (0.021276449199136627, 0.0069882487551984895), rtol=0, atol=1e-6
+        )
+
 
 class TestSweep:
     def test_single_point_grid(self):

@@ -1,12 +1,19 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import erfc, gammaln
+from scipy.special import erfc, gammaln, psi, rgamma
 
 from fpsum.errors import DomainError, EvaluationError
 from fpsum import special_functions
 from fpsum.special_functions import (
     _SERIES_BLOCK,
+    _digamma,
+    _legendre,
+    _log_gamma,
+    _reciprocal_gamma,
     _sum_series,
     mittag_leffler,
 )
@@ -170,3 +177,65 @@ class TestSeriesDriver:
         table[1, _SERIES_BLOCK - 2:] = 1e-4 * np.arange(_SERIES_BLOCK - 2, n)
         _, used = self._drive(table, 0, [0.0, 0.0], 4, 1e-3, n)
         assert used == [9, _SERIES_BLOCK + 2]
+
+
+def _mp_legendre_rule(order):
+    """Gauss-Legendre rule at 40 digits: Newton on P_n from the guesses
+    cos(pi (i + 3/4) / (n + 1/2)), with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1),
+    and w = 2 (1 - x^2) / (n P_{n-1}(x))^2."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for i in reversed(range(order)):
+            x = mpmath.cos(mpmath.pi * (i + 0.75) / (order + 0.5))
+            for _ in range(12):
+                p, q = mpmath.legendre(order, x), mpmath.legendre(order - 1, x)
+                x -= p * (x * x - 1) / (order * (x * p - q))
+            nodes.append(float(x))
+            weights.append(float(2 * (1 - x**2) / (order * mpmath.legendre(order - 1, x)) ** 2))
+    return np.array(nodes), np.array(weights)
+
+
+class TestKernels:
+    """The math/numpy kernels against scipy.special and mpmath."""
+
+    def test_log_gamma_against_scipy(self):
+        # one row on [1, 3], one on [3, 3e5]: past 170 Stirling's series
+        x = np.stack((np.linspace(1.0, 3.0, 4001), np.geomspace(3.0, 3e5, 4001)))
+        got, want = _log_gamma(x), gammaln(x)
+        assert got.shape == x.shape
+        # an absolute error near the zeros of log Gamma at 1 and 2, relative
+        # above; ~1e-15 measured, 4.5 ulps of 1
+        err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+        assert err.max() <= 2e-15
+
+    def test_log_gamma_exact_at_small_integers(self):
+        # the kappa 1 identities need these exactly: the NML variance
+        # sigma2 / Gamma(2) and h(1) = Gamma(2)**2 / Gamma(3) = 1/2
+        assert list(_log_gamma(np.array([1.0, 2.0, 3.0]))) == [0.0, 0.0, math.log(2.0)]
+        assert _log_gamma(2.0) == 0.0 and np.ndim(_log_gamma(2.0)) == 0
+
+    def test_digamma_against_scipy(self):
+        x = np.linspace(1.0, 5.0, 4001)
+        want = psi(x)
+        err = np.abs(_digamma(x) - want) / np.maximum(np.abs(want), 1.0)
+        assert err.max() <= 2e-15
+        assert np.ndim(_digamma(1.5)) == 0
+
+    @pytest.mark.parametrize("order", [10, 16])
+    def test_legendre_rule_against_mpmath(self, order):
+        nodes, weights = _legendre(order)
+        want_nodes, want_weights = _mp_legendre_rule(order)
+        assert_allclose(nodes, want_nodes, rtol=0, atol=2e-16)
+        assert_allclose(weights, want_weights, rtol=1e-14)
+
+    def test_reciprocal_gamma_zero_at_poles(self):
+        # kappa 0.5: t = 1 - m/2 is a pole of Gamma for every even m
+        t = 1.0 - 0.5 * np.arange(1, 15)
+        got = _reciprocal_gamma(t)
+        assert np.all(got[1::2] == 0.0)
+        assert_allclose(got[::2], rgamma(t[::2]), rtol=1e-14)
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.7, 0.9])
+    def test_reciprocal_gamma_against_scipy(self, kappa):
+        t = 1.0 - kappa * np.arange(1, 15)
+        assert_allclose(_reciprocal_gamma(t), rgamma(t), rtol=1e-14)
