@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it with the package keeps that
@@ -113,6 +113,28 @@ def _mixing_series(
     return total / scale, peak / scale, unconverged
 
 
+def _mixing_log_density(kappa: float, u: np.ndarray) -> np.ndarray:
+    """log g(u) of the mixing law at u > 0, kappa < 1: the alternating series
+    where its largest term cannot poison the sum, it converges within its
+    term cap and its value is positive; elsewhere the one-sided stable
+    integral, whose integrand is positive, and which raises EvaluationError
+    above kappa 1 - 1e-6."""
+    out = np.empty_like(u)
+    a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
+    with np.errstate(over="ignore"):
+        try_series = a0 * u ** (1.0 / (1.0 - kappa)) <= _ML_SERIES_EXPONENT_BUDGET
+    if try_series.any():
+        vals, peaks, unconverged = _mixing_series(kappa, u[try_series])
+        safe = (peaks <= 4e4 * vals) & ~unconverged
+        picked = np.flatnonzero(try_series)
+        out[picked[safe]] = np.log(vals[safe])
+        try_series[picked[~safe]] = False
+    rest = ~try_series
+    if rest.any():
+        out[rest] = _mixing_density_log(kappa, u[rest])
+    return out
+
+
 @dataclass(frozen=True)
 class MittagLefflerLaw:
     """Positive law with moment generating function E_kappa; degenerate at 1
@@ -124,15 +146,9 @@ class MittagLefflerLaw:
         _check_kappa(self.kappa)
 
     def density(self, u):
-        """Density at u > 0.
-
-        The alternating series is used while its largest term cannot poison
-        the sum and it converges within its term cap; other arguments go
-        through the one-sided stable integral form, whose integrand is
-        positive.  Both meet the mpmath oracles to ~1e-12 relative.  Above
-        kappa 1 - 1e-6 the integral form raises EvaluationError, and so do
-        the arguments that the series does not take.
-        """
+        """Density at u > 0, the exp of ``_mixing_log_density``: ~1e-12
+        relative against the mpmath oracles.  Above kappa 1 - 1e-6 it raises
+        EvaluationError where the series does not take the argument."""
         if self.kappa == 1.0:
             raise DomainError(
                 "the kappa=1 law is a point mass at 1 and has no density"
@@ -140,22 +156,8 @@ class MittagLefflerLaw:
         arr, shape = _as_array(u)
         if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
             raise DomainError("density requires u > 0")
-        kappa = self.kappa
-        out = np.empty_like(arr)
-        a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
-        with np.errstate(over="ignore"):
-            try_series = a0 * arr ** (1.0 / (1.0 - kappa)) <= _ML_SERIES_EXPONENT_BUDGET
-        if try_series.any():
-            vals, peaks, unconverged = _mixing_series(kappa, arr[try_series])
-            safe = (peaks <= 4e4 * np.abs(vals)) & ~unconverged
-            picked = np.flatnonzero(try_series)
-            out[picked[safe]] = vals[safe]
-            try_series[picked[~safe]] = False
-        rest = ~try_series
-        if rest.any():
-            with np.errstate(over="ignore", under="ignore"):
-                out[rest] = np.exp(_mixing_density_log(kappa, arr[rest]))
-        return _ret(out, shape)
+        with np.errstate(under="ignore"):
+            return _ret(np.exp(_mixing_log_density(self.kappa, arr)), shape)
 
     def sample(self, rng: RngStream, size=None):
         """Exact draws via U = (W / A(Theta))**(1-kappa) with Theta uniform on
@@ -172,6 +174,83 @@ class MittagLefflerLaw:
 
     def mean(self) -> float:
         return 1.0 / math.gamma(self.kappa + 1.0)
+
+
+# the nodes end where log g falls below this: the integrand peak of every
+# representable density or pmf value lies inside them
+_NODES_LOG_G_END = -750.0
+# panels halve toward v = 0 down to v_c * 2**-46; the first one,
+# [0, v_c * 2**-46], is too narrow to matter even for tiny |y|
+_NODES_HALVINGS = 46
+# in s = log(u)/(1-k) the core of g is O(1) wide for every kappa: the
+# panels next to v_c are this wide in s, and grow by _NODES_GROWTH per panel
+# toward v = 0 until they are halvings
+_NODES_CORE_WIDTH = 1.0
+_NODES_GROWTH = 2.0
+# right of v_c the panels are this wide in r = sqrt(a0 u**(1/(1-k))), the
+# variable in which log g ~ -r**2 has unit curvature
+_NODES_FLANK_WIDTH = 2.0
+
+
+@lru_cache(maxsize=32)
+def _mixing_nodes(kappa: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of int h(u) g(u) du against the mixing density, as (u, log(w g(u))).
+
+    16-point Gauss-Legendre panels in v = sqrt(u), laid out in log v around
+    v_c = a0**(-(1-k)/2), where g's flank exp(-a0 u**(1/(1-k))) sets in.
+    Left of v_c they are _NODES_CORE_WIDTH wide in s = log(u)/(1-k) and grow
+    geometrically into halvings of v, which resolve the step of phi(y/v) at
+    v ~ |y| that gives the NML density its cusp.  Right of v_c they are
+    _NODES_FLANK_WIDTH wide in r = sqrt(a0 u**(1/(1-k))), which also spans
+    the integrand's peak in the far tail of the density, and they end where
+    log g reaches _NODES_LOG_G_END.  Each panel but the first, [0, v_c *
+    2**-46], is then cut into 2**level equal parts in log v: level 0 serves
+    the NML density, and the FP pmf (branch "auto", or its second name
+    "mixture") takes finer levels for the Poisson kernel, which is
+    ~1/sqrt(n) wide in log u.  The weights are in the u-measure, du = 2 v dv.
+    """
+    c = 1.0 - kappa
+    log_a0 = math.log(c) + kappa / c * math.log(kappa)
+    log_vc = -c * log_a0 / 2.0
+    widths = np.minimum(_NODES_CORE_WIDTH * c / 2.0 * _NODES_GROWTH ** np.arange(64), math.log(2.0))
+    left = log_vc - np.cumsum(widths)
+    left = left[left > log_vc - _NODES_HALVINGS * math.log(2.0)]
+    # log g ~ -r**2 on the flank, at u = u_c * r**(2(1-k)); widen until
+    # log g at the end is below _NODES_LOG_G_END
+    u_c = math.exp(2.0 * log_vc)
+    r_hi = math.sqrt(-_NODES_LOG_G_END)
+    while _mixing_log_density(kappa, np.array([u_c * r_hi ** (2.0 * c)]))[0] > _NODES_LOG_G_END:
+        r_hi += _NODES_FLANK_WIDTH
+    r = np.arange(1.0, r_hi + _NODES_FLANK_WIDTH, _NODES_FLANK_WIDTH)
+    log_v = np.concatenate((left[::-1], log_vc + c * np.log(r)))
+    parts = 2**level
+    log_v = np.interp(np.arange((log_v.size - 1) * parts + 1) / parts, np.arange(log_v.size), log_v)
+    edges = np.concatenate(([0.0], np.exp(log_v)))
+    v, w = _gl_panels(edges[:-1], edges[1:], 16)
+    u = v * v
+    return u, np.log(2.0 * v * w) + _mixing_log_density(kappa, u)
+
+
+def _log_sum_exp(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log sum_i exp(x_j * a_i + b_i) for each x_j.
+
+    Each row is shifted by its largest exponent, so the sum is positive and
+    finite: the result is -inf only where every exponent is -inf, and NaN at
+    a NaN x.  The exponent matrix is chunked to bound memory.
+    """
+    out = np.empty(x.shape)
+    step = max(1, int(4e6 // a.size))
+    with np.errstate(under="ignore", divide="ignore"):
+        for i in range(0, x.size, step):
+            # one matrix per chunk, updated in place
+            expo = np.multiply.outer(x[i : i + step], a)
+            expo += b
+            shift = expo.max(axis=1)
+            # a row of -inf: shift by 0, and its log sum is -inf
+            shift[shift == -np.inf] = 0.0
+            expo -= shift[:, None]
+            out[i : i + step] = shift + np.log(np.exp(expo, out=expo).sum(axis=1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,45 +287,20 @@ def _fp_pmf_series(nu: float, kappa: float, n: np.ndarray) -> tuple[np.ndarray, 
     return total, peak
 
 
-@lru_cache(maxsize=32)
-def _mixture_nodes(kappa: float, u_hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [0, u_hi] with mixing density precomputed."""
-    edges = np.linspace(0.0, u_hi, n_panels + 1)
-    u, w = _gl_panels(edges[:-1], edges[1:], 10)
-    return u, w, MittagLefflerLaw(kappa).density(u)
-
-
-def _fp_mixture_range(nu: float, kappa: float, n_max: float) -> tuple[float, int]:
-    """(u_hi, panels) of the quadrature in ``_fp_pmf_mixture``.
-
-    The largest count's integrand has log-shape
-    n_max*log(nu*u) - nu*u - a0*u**(1/(1-k)) (Laplace); the range ends past
-    the point where that falls 46 below its peak.  The probe reaches 46/nu
-    past the Poisson window, so it holds that point even where the mixing
-    density does not cut the integrand first.
-    """
-    a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
-    top = (n_max + 12.0 * math.sqrt(n_max + 1.0) + 46.0) / nu
-    probe = top * np.geomspace(1e-6, 1.0, 400)
-    with np.errstate(over="ignore"):
-        log_g = n_max * np.log(nu * probe) - nu * probe - a0 * probe ** (1.0 / (1.0 - kappa))
-    keep = log_g >= log_g.max() - 46.0
-    u_hi = probe[keep].max() * 1.2
-    return u_hi, int(min(2000, max(64, 8.0 * u_hi * nu / math.sqrt(n_max + 1.0), 4 * u_hi)))
+def _fp_mixture_level(n_max: float) -> int:
+    """Level of the mixing nodes for counts up to n_max.  The Poisson kernel
+    is ~1/sqrt(n) wide in log u: one level per factor 4 of the count, so 1 up
+    to n 23, 2 to 95, 3 to 383, 4 to 1535, each within 2e-12 of two levels
+    finer at nu 1 to 1e4, kappa 0.01 to 0.999."""
+    return max(1, math.ceil(math.log2((n_max + 1.0) / 6.0) / 2.0))
 
 
 def _fp_pmf_mixture(nu: float, kappa: float, n: np.ndarray) -> np.ndarray:
-    """Conditionally-Poisson quadrature: integral of Poisson(n; nu*u) against
-    the mixing density, on the range of ``_fp_mixture_range``."""
-    u_hi, n_panels = _fp_mixture_range(nu, kappa, float(n.max()))
-    u, w, dens = _mixture_nodes(kappa, u_hi, n_panels)
-    log_pois = (
-        n[:, None] * np.log(nu * u)[None, :]
-        - (nu * u)[None, :]
-        - _log_gamma(n + 1.0)[:, None]
-    )
+    """Integral of Poisson(n; nu*u) against the mixing density."""
+    u, log_wg = _mixing_nodes(kappa, _fp_mixture_level(n.max(initial=0.0)))
+    log_p = _log_sum_exp(n, np.log(nu * u), log_wg - nu * u) - _log_gamma(n + 1.0)
     with np.errstate(under="ignore"):
-        return np.exp(log_pois) @ (w * dens)
+        return np.exp(log_p)
 
 
 @dataclass(frozen=True)
@@ -265,16 +319,17 @@ class FractionalPoissonLaw:
         """P(N = n) for integer n >= 0.
 
         branch:
-            "auto"     series where its estimated error is ~1e-10 or less,
-                       otherwise mixture quadrature;
-            "series"   alternating series only; raises EvaluationError with a
-                       pointer at the mixture branch when unsafe.  Its only
-                       guard is a 4e4 ratio of the largest term to the sum,
-                       which lets errors well above 1e-10 through: at (nu 1,
-                       kappa 0.6, n 40) the value is 2.5e-9 off the mpmath
-                       oracle, and ulp-level changes of log Gamma move it by
-                       3.6e-9.  "auto" holds such counts to ~1e-10;
-            "mixture"  quadrature against the mixing density only.
+            "auto"     int Poisson(n; nu*u) g(u) du on the mixing nodes of
+                       the NML density, refined for the Poisson kernel
+                       (``_mixing_nodes``): ~1e-13 relative against the
+                       mpmath oracles up to kappa 0.999.  Above kappa
+                       1 - 1e-6 it raises EvaluationError;
+            "mixture"  a second name for "auto";
+            "series"   the alternating series, an independent route.  It
+                       raises EvaluationError, pointing at the mixture, when
+                       nu**(1/kappa) > 25 or its largest term exceeds 4e4
+                       times the sum; that guard lets errors well above 1e-10
+                       through (2.5e-9 at nu 1, kappa 0.6, n 40).
         """
         arr, shape = _as_array(n, dtype=None)
         if not np.issubdtype(arr.dtype, np.integer):
@@ -287,29 +342,16 @@ class FractionalPoissonLaw:
         if self.kappa == 1.0:
             out = np.exp(narr * math.log(self.nu) - self.nu - _log_gamma(narr + 1.0))
             return _ret(out, shape)
-        if branch == "mixture":
+        if branch != "series":
             return _ret(_fp_pmf_mixture(self.nu, self.kappa, narr), shape)
-
-        series_feasible = self.nu ** (1.0 / self.kappa) <= 25.0
-        if series_feasible:
+        if self.nu ** (1.0 / self.kappa) <= 25.0:
             vals, peaks = _fp_pmf_series(self.nu, self.kappa, narr)
-            floor = np.maximum(np.abs(vals), 1e-300)
-            if branch == "auto":
-                # a term is the exp of log-gammas as large as log(n!), so its
-                # rounding grows with n: the sum's relative error is about
-                # eps * peak/|value| * (10 + log(n!)); keep it near 1e-10
-                exact = peaks * (10.0 + _log_gamma(narr + 1.0)) <= 4e5 * floor
-                if not exact.all():
-                    vals[~exact] = _fp_pmf_mixture(self.nu, self.kappa, narr[~exact])
+            if np.all(peaks <= 4e4 * np.maximum(np.abs(vals), 1e-300)):
                 return _ret(vals, shape)
-            if np.all(peaks <= 4e4 * floor):
-                return _ret(vals, shape)
-        if branch == "series":
-            raise EvaluationError(
-                f"pmf series is unstable at nu={self.nu}, kappa={self.kappa}; "
-                "use the mixture quadrature branch"
-            )
-        return _ret(_fp_pmf_mixture(self.nu, self.kappa, narr), shape)
+        raise EvaluationError(
+            f"pmf series is unstable at nu={self.nu}, kappa={self.kappa}; "
+            "use the mixture quadrature branch"
+        )
 
     def pgf(self, s):
         """Probability generating function at |s| <= 1."""
@@ -342,89 +384,17 @@ class FractionalPoissonLaw:
 # Normal-Mittag-Leffler law
 # ---------------------------------------------------------------------------
 
-# the mixture nodes end where log g falls below this: the integrand peak of
-# every representable density value lies inside them
-_NML_LOG_G_END = -750.0
-# panels halve toward v = 0 down to v_c * 2**-46; the first one,
-# [0, v_c * 2**-46], is too narrow to matter even for tiny |y|
-_NML_HALVINGS = 46
-# in s = log(u)/(1-k) the core of g is O(1) wide for every kappa: the
-# panels next to v_c are this wide in s, and grow by _NML_GROWTH per panel
-# toward v = 0 until they are halvings
-_NML_CORE_WIDTH = 1.0
-_NML_GROWTH = 2.0
-# right of v_c the panels are this wide in r = sqrt(a0 u**(1/(1-k))), the
-# variable in which log g ~ -r**2 has unit curvature
-_NML_FLANK_WIDTH = 2.0
-
-
-@lru_cache(maxsize=32)
-def _nml_mixture_nodes(kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of f(y) = 2 * int_0^inf phi(y/v) g(v^2) dv, as (1/(2 v^2), log weight).
-
-    16-point Gauss-Legendre panels in v = sqrt(u), laid out in log v around
-    v_c = a0**(-(1-k)/2), where g's flank exp(-a0 u**(1/(1-k))) sets in.
-    Left of v_c they are _NML_CORE_WIDTH wide in s = log(u)/(1-k) and grow
-    geometrically into halvings of v, which resolve the step of phi(y/v) at
-    v ~ |y| that gives the density its cusp.  Right of v_c they are
-    _NML_FLANK_WIDTH wide in r = sqrt(a0 u**(1/(1-k))), which also spans the
-    integrand's peak in the far tail of the density, and they end where log
-    g reaches _NML_LOG_G_END.  Each log weight holds log g, taken from
-    ``MittagLefflerLaw.density`` where that value is a normal double and
-    from ``_mixing_density_log`` past it.
-    """
-    c = 1.0 - kappa
-    log_a0 = math.log(c) + kappa / c * math.log(kappa)
-    log_vc = -c * log_a0 / 2.0
-    widths = np.minimum(_NML_CORE_WIDTH * c / 2.0 * _NML_GROWTH ** np.arange(64), math.log(2.0))
-    left = log_vc - np.cumsum(widths)
-    left = left[left > log_vc - _NML_HALVINGS * math.log(2.0)]
-    # log g ~ -r**2 on the flank, at u = u_c * r**(2(1-k)); widen until
-    # log g at the end is below _NML_LOG_G_END
-    u_c = math.exp(2.0 * log_vc)
-    r_hi = math.sqrt(-_NML_LOG_G_END)
-    while _mixing_density_log(kappa, np.array([u_c * r_hi ** (2.0 * c)]))[0] > _NML_LOG_G_END:
-        r_hi += _NML_FLANK_WIDTH
-    r = np.arange(1.0, r_hi + _NML_FLANK_WIDTH, _NML_FLANK_WIDTH)
-    log_v = np.concatenate((left[::-1], log_vc + c * np.log(r)))
-    edges = np.concatenate(([0.0], np.exp(log_v)))
-    v, w = _gl_panels(edges[:-1], edges[1:], 16)
-    u = v * v
-    with np.errstate(under="ignore"):
-        g = MittagLefflerLaw(kappa).density(u)
-    normal = g >= np.finfo(float).tiny
-    log_g = np.empty_like(u)
-    log_g[normal] = np.log(g[normal])
-    log_g[~normal] = _mixing_density_log(kappa, u[~normal])
-    return 0.5 / u, np.log(2.0 * w) + log_g - 0.5 * math.log(_TWO_PI)
-
-
 def _nml_standard_density(kappa: float, y: np.ndarray) -> np.ndarray:
     """Density of the standard law: normal at kappa 1, else the variance
-    mixture as a log-sum-exp over the cached mixture nodes.
-
-    Each row is shifted by its largest exponent, so the sum is positive and
-    finite, and 0 only where the density itself underflows.
-    """
+    mixture int N(y; 0, u) g(u) du on the level-0 mixing nodes, summed in log
+    space: 0 only where the density itself underflows."""
     with np.errstate(over="ignore"):
         y2 = y * y
     if kappa == 1.0:
         return np.exp(-0.5 * y2) / math.sqrt(_TWO_PI)
-    half_inv_u, log_w = _nml_mixture_nodes(kappa)
-    out = np.empty_like(y2)
-    # chunk the exponent matrix to bound memory
-    step = max(1, int(4e6 // log_w.size))
-    with np.errstate(under="ignore", divide="ignore"):
-        for i in range(0, y2.size, step):
-            # one matrix per chunk, updated in place
-            expo = np.multiply.outer(y2[i : i + step], -half_inv_u)
-            expo += log_w
-            shift = expo.max(axis=1)
-            # at |y| = inf every exponent is -inf: shift by 0 and return 0
-            shift[shift == -np.inf] = 0.0
-            expo -= shift[:, None]
-            out[i : i + step] = np.exp(shift + np.log(np.exp(expo, out=expo).sum(axis=1)))
-    return out
+    u, log_wg = _mixing_nodes(kappa, 0)
+    with np.errstate(under="ignore"):
+        return np.exp(_log_sum_exp(y2, -0.5 / u, log_wg - 0.5 * np.log(_TWO_PI * u)))
 
 
 @dataclass(frozen=True)
@@ -559,16 +529,12 @@ class CompLaw:
                 )
             j_hi *= 2
 
-    @property
+    @cached_property
     def _table(self) -> tuple[np.ndarray, float]:
-        cached = getattr(self, "_cached_table", None)
-        if cached is None:
-            lt = self._log_terms()
-            shift = lt.max()
-            log_h = shift + math.log(np.exp(lt - shift).sum())
-            cached = (lt, log_h)
-            object.__setattr__(self, "_cached_table", cached)
-        return cached
+        """(log terms, log normalizer), computed once per law."""
+        lt = self._log_terms()
+        shift = lt.max()
+        return lt, shift + math.log(np.exp(lt - shift).sum())
 
     def log_normalizer(self) -> float:
         """log of the normalizing series sum_i lam^i/(i!)^eta."""

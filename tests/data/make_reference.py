@@ -23,6 +23,9 @@ independent of the library's own evaluation paths:
                    kappa 0.3, 0.7 and 0.99.
 * ``fp_pmf``    -- the fractional Poisson pmf by its alternating series,
                    with guard digits for the cancellation.
+* ``fp_pmf_near_one`` -- the same series at kappa 0.99 to 0.999, where the
+                   mixing density spikes; at nu**(1/k) > 25 the library has
+                   no series of its own to check the mixture against.
 * ``nml_tail``  -- log f(y) of the standard NML law at |y| 10 to 40, by the
                    mixture integral over its Laplace window, where the
                    mixing series stays feasible there.
@@ -38,8 +41,9 @@ independent of the library's own evaluation paths:
                    (``nml_density_split_mp``), which needs no mixing density.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
-      python tests/data/make_reference.py mixing_near_one nml_near_one
-      (recomputes only those sections and keeps the others as they are)
+      python tests/data/make_reference.py fp_pmf fp_pmf_near_one
+      (recomputes only those sections of ``SECTIONS`` and keeps the others
+      as they are; CI checks that these two reproduce the frozen file)
 """
 
 import json
@@ -421,13 +425,6 @@ def nml_near_one_section():
     return rows
 
 
-# sections that can be recomputed on their own, by name on the command line
-SECTIONS = {
-    "mixing_near_one": mixing_near_one_section,
-    "nml_near_one": nml_near_one_section,
-}
-
-
 def fp_pmf_mp(nu, kappa, n, rel_dps=25):
     """P(N = n) = nu^n/n! sum_i (-nu)^i (i+n)! / (i! Gamma(k(i+n) + 1)).
 
@@ -482,6 +479,26 @@ def fp_pmf_section():
         for nu, kap in laws
         for n in [0, 1, 5, 10, 20, 40]
     ]
+
+
+def fp_pmf_near_one_section():
+    """[nu, kappa, n, P(N = n)] rows at kappa 0.99 to 0.999; nu**(1/k) > 25
+    except at (5, 0.999), where a mixture on uniform u-panels was 2 % off."""
+    laws = [(5.0, 0.999), (30.0, 0.999), (10.0, 0.995), (50.0, 0.995), (30.0, 0.99)]
+    return [
+        [nu, kap, n, float(fp_pmf_mp(nu, kap, n))]
+        for nu, kap in laws
+        for n in [0, 1, 5, 20, 40, 79]
+    ]
+
+
+# sections that can be recomputed on their own, by name on the command line
+SECTIONS = {
+    "fp_pmf": fp_pmf_section,
+    "mixing_near_one": mixing_near_one_section,
+    "nml_near_one": nml_near_one_section,
+    "fp_pmf_near_one": fp_pmf_near_one_section,
+}
 
 
 def comp_log_normalizer_mp(lam, eta, dps=40):
@@ -544,7 +561,8 @@ def all_sections():
     out["nml_tail"] = nml_tail_section()
     out["nml_high_kappa"] = nml_high_kappa_section()
     for name, section in SECTIONS.items():
-        out[name] = section()
+        if name not in out:
+            out[name] = section()
     return out
 
 

@@ -6,11 +6,13 @@ from scipy.special import chdtrc, gammaln
 from fpsum.distributions import (
     FractionalPoissonLaw,
     RngStream,
-    _fp_mixture_range,
-    _mixture_nodes,
+    _fp_mixture_level,
+    _fp_pmf_mixture,
+    _log_sum_exp,
+    _mixing_nodes,
 )
 from fpsum.errors import DomainError, EvaluationError
-from fpsum.special_functions import mittag_leffler
+from fpsum.special_functions import _log_gamma, mittag_leffler
 
 
 def poisson_pmf(n, rate):
@@ -39,9 +41,11 @@ class TestPmf:
 
     @pytest.mark.parametrize("branch", ["mixture", "auto"])
     def test_against_reference(self, reference, branch):
-        for nu, kappa, n, want in reference["fp_pmf"]:
+        # near kappa 1 the mixing density is a spike, and at nu**(1/k) > 25
+        # there is no series to check the mixture against
+        for nu, kappa, n, want in reference["fp_pmf"] + reference["fp_pmf_near_one"]:
             got = FractionalPoissonLaw(nu, kappa).pmf(n, branch=branch)
-            assert_allclose(got, want, rtol=1e-9, err_msg=f"nu={nu}, kappa={kappa}, n={n}")
+            assert_allclose(got, want, rtol=1e-12, err_msg=f"nu={nu}, kappa={kappa}, n={n}")
 
     @pytest.mark.parametrize("nu,kappa", [(0.5, 0.4), (2.0, 0.7), (5.0, 0.6), (5.0, 0.3)])
     def test_sums_to_one(self, nu, kappa):
@@ -49,18 +53,29 @@ class TestPmf:
         n = np.arange(400)
         assert abs(law.pmf(n).sum() - 1.0) <= 1e-8
 
-    def test_mixture_range_holds_the_integrand(self):
-        # nu 30, kappa 0.3: the largest count's Laplace window ends near
-        # u = 5, far inside the mixing density's own e^-46 point (u = 26.9);
-        # the range it sets loses nothing against one twice as wide, on
-        # panels laid out differently
-        n = np.arange(41)
-        u_hi, panels = _fp_mixture_range(30.0, 0.3, 40.0)
-        assert u_hi < 6.0
-        u, w, dens = _mixture_nodes(0.3, 2.0 * u_hi, 2 * panels + 1)
-        wide = np.exp(n[:, None] * np.log(30.0 * u) - 30.0 * u - gammaln(n + 1.0)[:, None]) @ (w * dens)
-        got = FractionalPoissonLaw(30.0, 0.3).pmf(n, branch="mixture")
-        assert_allclose(got, wide, rtol=1e-13)
+    @pytest.mark.parametrize("nu,kappa,n_max", [(30.0, 0.3, 199), (10.0, 0.05, 40), (100.0, 0.05, 1200)])
+    def test_mixture_level_is_converged(self, nu, kappa, n_max):
+        # the level picked from the largest count agrees with the same
+        # nodes two levels finer
+        n = np.arange(n_max + 1.0)
+        got = _fp_pmf_mixture(nu, kappa, n)
+        u, log_wg = _mixing_nodes(kappa, _fp_mixture_level(n_max) + 2)
+        fine = np.exp(_log_sum_exp(n, np.log(nu * u), log_wg - nu * u) - _log_gamma(n + 1.0))
+        assert_allclose(got, fine, rtol=1e-11)
+
+    def test_mixture_holds_the_spike_near_one(self):
+        # at kappa 0.999 the mixing density is a spike ~0.03 wide; the
+        # mixture must not lose its mass
+        total = FractionalPoissonLaw(30.0, 0.999).pmf(np.arange(80)).sum()
+        assert abs(total - 1.0) <= 1e-12
+
+    def test_mixture_kappa_limit(self):
+        # above kappa 1 - 1e-6 the mixing density is unresolved: the mixture
+        # raises, and only the series answers
+        law = FractionalPoissonLaw(2.0, 1.0 - 1e-7)
+        with pytest.raises(EvaluationError):
+            law.pmf(3)
+        assert_allclose(law.pmf(3, branch="series"), poisson_pmf(3, 2.0), rtol=1e-5)
 
     def test_series_branch_failure_points_at_mixture(self):
         law = FractionalPoissonLaw(20.0, 0.3)

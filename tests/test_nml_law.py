@@ -78,6 +78,12 @@ class TestDensity:
         # nonincreasing in |y| until it underflows
         assert np.all(np.diff(f[61:]) <= 0.0)
 
+    def test_non_finite_arguments(self):
+        # a NaN stays NaN; |y| = inf lies past the far tail, where f is 0
+        got = NmlLaw(0.0, 1.0, 0.5).density([np.nan, np.inf, -np.inf])
+        assert np.isnan(got[0])
+        assert np.array_equal(got[1:], [0.0, 0.0])
+
     def test_symmetry(self):
         law = NmlLaw(0.0, 1.0, 0.6)
         x = np.linspace(0.1, 8.0, 40)
