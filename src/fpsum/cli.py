@@ -493,8 +493,7 @@ def _parse_list(spec: str, kind=float) -> tuple:
 
 def cmd_ml_eval(args) -> int:
     z = _parse_grid(args.grid) if args.grid else np.array([args.z], dtype=float)
-    with np.errstate(over="ignore"):
-        values = np.atleast_1d(mittag_leffler(args.kappa, z))
+    values = np.atleast_1d(mittag_leffler(args.kappa, z))
     _emit(
         {
             "schema": SCHEMA_TAG,

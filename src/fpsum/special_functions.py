@@ -22,7 +22,15 @@ therefore split into four branches:
   with the sign of ``cos(k*pi)`` flipped, on the same log-step nodes.
 
 ``k = 1`` dispatches to ``exp`` exactly, which also removes the poles of
-``Gamma(1 - m)`` from the asymptotic branch.
+``Gamma(1 - m)`` from the asymptotic branch; past the double range it is
+``inf``, as on the other branches, with no overflow warning.
+
+One value of z (a scalar, or an array of size 1) takes a front door with
+``math`` alone: kappa 1, the branch test and the power series summed term
+by term, with the terms, stop rule and cap of the array kernel.  Every
+other value goes to the array kernels, and a series that does not converge
+to their hand-offs (the cut integral, lead - R).  ``_series_region`` is the
+one statement of where the series applies, for both doors.
 
 The gamma-family kernels every module uses (``_log_gamma``, ``_digamma``,
 ``_reciprocal_gamma``) and the Gauss-Legendre rule are built on ``math`` and
@@ -227,6 +235,38 @@ def _series_many(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         terms, 1, np.ones_like(z), 2, _ML_SERIES_TOL, _ML_MAX_TERMS, stop_nonfinite=True
     )
     return out, active
+
+
+def _series_one(kappa: float, z: float) -> float | None:
+    """``_series_many`` for one z, term by term with ``math``: the same terms,
+    stop rule and cap, and the same partial sums up to the last bit or two
+    of ``math.exp`` against ``np.exp``.  None where the series does not
+    converge.  In the series region no term exceeds ~exp(|z|**(1/k)) <=
+    exp(15), so ``math.exp`` cannot overflow.
+    """
+    logabs = math.log(abs(z)) if z else -math.inf
+    total, run = 1.0, 0
+    for m in range(1, _ML_MAX_TERMS + 1):
+        a = kappa * m + 1.0
+        log_gamma = math.log(math.gamma(a)) if a <= _LOG_GAMMA_STIRLING else float(_log_gamma(a))
+        term = math.exp(m * logabs - log_gamma)
+        total += -term if z < 0 and m % 2 else term
+        if not math.isfinite(total):
+            return total
+        run = run + 1 if term <= _ML_SERIES_TOL * max(abs(total), 1e-300) else 0
+        if run == 2:
+            return total
+    return None
+
+
+def _series_region(z, exponent):
+    """Whether the power series takes z, given exponent = |z|**(1/k): up to
+    _SERIES_EXPONENT_BUDGET on the negative axis, below
+    _POSITIVE_SERIES_EXPONENT_MAX elsewhere.  A bool for floats, a mask for
+    arrays."""
+    return ((z < 0) & (exponent <= _SERIES_EXPONENT_BUDGET)) | (
+        (z >= 0) & (exponent < _POSITIVE_SERIES_EXPONENT_MAX)
+    )
 
 
 @lru_cache(maxsize=64)
@@ -461,8 +501,57 @@ def _mixing_density_log(kappa: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_series_fallback(z) -> None:
+    """Where the series does not converge (slow convergence, small kappa),
+    the cut integral covers z < -_SPECTRAL_X_MIN and lead - R covers z > 0;
+    raise for any other z."""
+    if not np.all((z < -_SPECTRAL_X_MIN) | (z > 0)):
+        raise EvaluationError(
+            "Mittag-Leffler power series branch did not converge "
+            f"within max_terms={_ML_MAX_TERMS}"
+        )
+
+
+def _positive_rest(kappa: float, x: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """E_k(x) = exp(x**(1/k))/k - R_k(x) for x > 0, given exponent = x**(1/k)."""
+    with np.errstate(over="ignore"):
+        lead = np.exp(exponent) / kappa
+    return lead - _log_step_cut(kappa, x, (1.0 - kappa) * np.pi)
+
+
+def _one_value(kappa: float, z: float) -> float | None:
+    """E_k(z) for one z in the series region, or at kappa 1, with ``math``
+    alone; a series that does not converge gets the array path's hand-off.
+    None hands z to the array kernels."""
+    if not math.isfinite(z):
+        raise DomainError("z must be finite")
+    # math raises OverflowError where numpy gives inf
+    if kappa == 1.0:
+        try:
+            return math.exp(z)
+        except OverflowError:
+            return math.inf
+    try:
+        exponent = abs(z) ** (1.0 / kappa)
+    except OverflowError:
+        exponent = math.inf
+    if not _series_region(z, exponent):
+        return None
+    value = _series_one(kappa, z)
+    if value is None:
+        _check_series_fallback(z)
+        x = np.array([abs(z)])
+        value = float((_spectral_many(kappa, x) if z < 0 else
+                       _positive_rest(kappa, x, x ** (1.0 / kappa)))[0])
+    return value
+
+
 def mittag_leffler(kappa, z):
     """Evaluate E_kappa(z) for real z, elementwise over array input.
+
+    One value of z (a scalar, or an array of size 1) is answered with
+    ``math`` where kappa is 1 or the power series takes it; every other
+    value goes through the array kernels.
 
     Parameters
     ----------
@@ -471,7 +560,8 @@ def mittag_leffler(kappa, z):
 
     Returns
     -------
-    float or ndarray matching the shape of ``z``.
+    float for a scalar or 0-d ``z``; otherwise an ndarray of ``z``'s shape,
+    size 1 included.  ``inf`` past the double range, without a warning.
 
     Raises
     ------
@@ -483,13 +573,18 @@ def mittag_leffler(kappa, z):
     """
     kappa = _check_kappa(kappa)
     z_arr = np.asarray(z, dtype=float)
+    if z_arr.size == 1:
+        value = _one_value(kappa, z_arr.item())
+        if value is not None:
+            return value if z_arr.ndim == 0 else np.full(z_arr.shape, value)
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
     if not np.all(np.isfinite(z_arr)):
         raise DomainError("z must be finite")
 
     if kappa == 1.0:
-        out = np.exp(z_arr)
+        with np.errstate(over="ignore"):
+            out = np.exp(z_arr)
         return float(out[0]) if scalar else out
 
     out = np.empty_like(z_arr)
@@ -497,29 +592,21 @@ def mittag_leffler(kappa, z):
     with np.errstate(over="ignore"):
         exponent = x ** (1.0 / kappa)
 
+    series_mask = _series_region(z_arr, exponent)
     # positive arguments the series does not take get exp(x**(1/k))/k - R_k(x)
-    pos_rest = (z_arr > 0) & (exponent >= _POSITIVE_SERIES_EXPONENT_MAX)
-    series_mask = ~pos_rest & ((z_arr >= 0) | (exponent <= _SERIES_EXPONENT_BUDGET))
+    pos_rest = (z_arr > 0) & ~series_mask
     if series_mask.any():
         sub = z_arr[series_mask]
         vals, failed = _series_many(kappa, sub)
         if failed.any():
-            # slow convergence (small kappa): the cut integral covers the
-            # stragglers on the negative axis, lead - R on the positive one
-            if not np.all((sub[failed] < -_SPECTRAL_X_MIN) | (sub[failed] > 0)):
-                raise EvaluationError(
-                    "Mittag-Leffler power series branch did not converge "
-                    f"within max_terms={_ML_MAX_TERMS}"
-                )
+            _check_series_fallback(sub[failed])
             neg = failed & (sub < 0)
             if neg.any():
                 vals[neg] = _spectral_many(kappa, -sub[neg])
             pos_rest[np.flatnonzero(series_mask)[failed & (sub > 0)]] = True
         out[series_mask] = vals
     if pos_rest.any():
-        with np.errstate(over="ignore"):
-            lead = np.exp(exponent[pos_rest]) / kappa
-        out[pos_rest] = lead - _log_step_cut(kappa, x[pos_rest], (1.0 - kappa) * np.pi)
+        out[pos_rest] = _positive_rest(kappa, x[pos_rest], exponent[pos_rest])
 
     rest = ~series_mask & (z_arr < 0)
     if rest.any():

@@ -39,11 +39,16 @@ independent of the library's own evaluation paths:
                    y = 0, and at y = 1, 3 and 10 a double integral over the
                    representation sqrt(U) Z, U = (W/A(Theta))**(1-k)
                    (``nml_density_split_mp``), which needs no mixing density.
+* ``ml_seams``  -- E_k on both sides of each seam of the library's branch
+                   dispatch, at z placed from its module constants, by the
+                   ``ml`` oracle.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
-      python tests/data/make_reference.py fp_pmf fp_pmf_near_one
+      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams
       (recomputes only those sections of ``SECTIONS`` and keeps the others
-      as they are; CI checks that these two reproduce the frozen file)
+      as they are; CI checks that these three reproduce the frozen file).
+      ``ml_seams`` reads the seams from ``fpsum.special_functions``, so
+      fpsum must be importable (installed, or ``PYTHONPATH=src``).
 """
 
 import json
@@ -492,12 +497,49 @@ def fp_pmf_near_one_section():
     ]
 
 
+def _exact_repr(z, bits=12):
+    """z rounded to ``bits`` significant bits: its short decimal repr, which
+    ``ml_oracle`` reads, is then exactly the double the library is given."""
+    mant, expo = math.frexp(z)
+    z = math.ldexp(round(mant * 2**bits), expo - bits)
+    with mp.workdps(50):
+        assert mp.mpf(repr(z)) == mp.mpf(z), z
+    return z
+
+
+def ml_seams_section():
+    """[kappa, z, E_k(z)] rows 2 % to either side of each seam of
+    ``mittag_leffler``'s dispatch, placed from the library's constants:
+    the series budget |z|**(1/k) on the negative axis and its bound on the
+    positive one, the cut integral's smallest |z|, the asymptotic
+    threshold, and kappa on both sides of the switch to the log-step cut
+    integral.  Rounding z to 12 bits moves it by < 1.3e-4 relative, well
+    inside the 2 % (0.1 % in z at kappa 0.05 for the exponent seams)."""
+    from fpsum import special_functions as sf
+
+    points = []
+    for kap in [0.05, 0.2, 0.5, 0.8, 0.99]:
+        for f in (0.98, 1.02):
+            points += [
+                (kap, -(f * sf._SERIES_EXPONENT_BUDGET) ** kap),
+                (kap, (f * sf._POSITIVE_SERIES_EXPONENT_MAX) ** kap),
+                (kap, -f * sf._SPECTRAL_X_MIN),
+                (kap, -f * sf._ASYMPTOTIC_THRESHOLD),
+            ]
+    switch = sf._SMALL_KAPPA_SWITCH
+    for kap in (round(switch - 0.01, 2), switch, round(switch + 0.01, 2)):
+        points += [(kap, z) for z in (-2.0, -5.0, -20.0)]
+    return [[kap, z, float(ml_oracle(kap, z))]
+            for kap, z in ((kap, _exact_repr(z)) for kap, z in points)]
+
+
 # sections that can be recomputed on their own, by name on the command line
 SECTIONS = {
     "fp_pmf": fp_pmf_section,
     "mixing_near_one": mixing_near_one_section,
     "nml_near_one": nml_near_one_section,
     "fp_pmf_near_one": fp_pmf_near_one_section,
+    "ml_seams": ml_seams_section,
 }
 
 

@@ -9,7 +9,9 @@ from scipy.special import erfc, gammaln, psi, rgamma
 from fpsum.errors import DomainError, EvaluationError
 from fpsum import special_functions
 from fpsum.special_functions import (
+    _POSITIVE_SERIES_EXPONENT_MAX,
     _SERIES_BLOCK,
+    _SERIES_EXPONENT_BUDGET,
     _digamma,
     _legendre,
     _log_gamma,
@@ -17,6 +19,19 @@ from fpsum.special_functions import (
     _sum_series,
     mittag_leffler,
 )
+
+
+def _check_both_doors(rows, rtol):
+    """Oracle rows [kappa, z, E_k(z)] one value at a time, which takes the
+    one-value door, then each kappa's rows as one array call."""
+    by_kappa = {}
+    for kappa, z, want in rows:
+        assert_allclose(mittag_leffler(kappa, z), want, rtol=rtol, err_msg=f"kappa={kappa}, z={z}")
+        by_kappa.setdefault(kappa, []).append((z, want))
+    for kappa, points in by_kappa.items():
+        z, want = np.array(points).T
+        assert z.size > 1, "the array door needs more than one value"
+        assert_allclose(mittag_leffler(kappa, z), want, rtol=rtol, err_msg=f"kappa={kappa}")
 
 
 class TestMittagLeffler:
@@ -35,24 +50,24 @@ class TestMittagLeffler:
             )
 
     def test_against_reference(self, reference):
-        for kappa, z, want in reference["ml"]:
-            got = mittag_leffler(kappa, z)
-            assert_allclose(got, want, rtol=1e-11, err_msg=f"kappa={kappa}, z={z}")
+        _check_both_doors(reference["ml"], 1e-11)
 
     def test_positive_against_reference(self, reference):
-        for kappa, z, want in reference["ml_pos"]:
-            got = mittag_leffler(kappa, z)
-            assert_allclose(got, want, rtol=1e-10, err_msg=f"kappa={kappa}, z={z}")
+        _check_both_doors(reference["ml_pos"], 1e-10)
 
     def test_positive_small_kappa_against_reference(self, reference):
         # both sides of the series' convergence limit and of x**(1/k) = 15
-        for kappa, z, want in reference["ml_pos_small_kappa"]:
-            got = mittag_leffler(kappa, z)
-            assert_allclose(got, want, rtol=1e-12, err_msg=f"kappa={kappa}, z={z}")
+        _check_both_doors(reference["ml_pos_small_kappa"], 1e-12)
 
-    def test_positive_overflow_is_inf(self):
-        with np.errstate(over="ignore"):
-            assert mittag_leffler(0.2, 5.0) == np.inf
+    def test_seams_against_reference(self, reference):
+        # both sides of every seam of the branch dispatch
+        _check_both_doors(reference["ml_seams"], 1e-11)
+
+    @pytest.mark.parametrize("kappa, z", [(0.2, 5.0), (1.0, 800.0)])
+    def test_positive_overflow_is_inf(self, kappa, z):
+        # silently: a RuntimeWarning is an error in this suite
+        assert mittag_leffler(kappa, z) == np.inf
+        assert np.all(mittag_leffler(kappa, np.array([z, z])) == np.inf)
 
     def test_kappa_one_reduction_sup(self):
         z = np.linspace(-10.0, 2.0, 481)
@@ -95,8 +110,9 @@ class TestMittagLeffler:
 
     def test_series_nonconvergence_names_branch(self, monkeypatch):
         monkeypatch.setattr(special_functions, "_ML_MAX_TERMS", 2)
-        with pytest.raises(EvaluationError, match="series"):
-            mittag_leffler(0.5, -0.2)
+        for z in (-0.2, np.array([-0.2]), np.array([-0.2, -0.1])):
+            with pytest.raises(EvaluationError, match="series"):
+                mittag_leffler(0.5, z)
 
     def test_branch_seams_are_smooth(self):
         # values on a fine grid spanning the series/integral/asymptotic
@@ -105,6 +121,60 @@ class TestMittagLeffler:
             z = -np.geomspace(0.5, 120.0, 4000)[::-1]
             vals = np.atleast_1d(mittag_leffler(kappa, z))
             assert np.all(np.diff(vals) >= -1e-15)
+
+
+_PARITY_KAPPAS = [0.01, 0.05, 0.2, 0.35, 0.36, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6, 1.0]
+
+
+def _parity_points(kappa):
+    """z through every branch: both sides of the series region's bounds,
+    a log grid on each axis, and the extremes."""
+    seams = [f * b**kappa for b in (_SERIES_EXPONENT_BUDGET, _POSITIVE_SERIES_EXPONENT_MAX)
+             for f in (0.99, 1.01)]
+    grid = np.concatenate((np.geomspace(1e-3, 1e4, 57), seams, [0.25, 50.0]))
+    extremes = [0.0, -0.0, 1e-300, -1e-300, 1e20, -1e20, 1e300, -1e300]
+    return np.concatenate((-grid, grid, extremes))
+
+
+class TestOneValueDoor:
+    """One value of z takes a math front door; arrays of more values take
+    the array kernels.  The two must agree."""
+
+    @pytest.mark.parametrize("kappa", _PARITY_KAPPAS)
+    def test_scalar_matches_array(self, kappa):
+        z = _parity_points(kappa)
+        array = mittag_leffler(kappa, z)
+        scalar = np.array([mittag_leffler(kappa, v) for v in z.tolist()])
+        assert np.array_equal(np.isinf(scalar), np.isinf(array))
+        assert np.array_equal(scalar == 0.0, array == 0.0)
+        finite = np.isfinite(array) & (array != 0.0)
+        s, a, zf = scalar[finite], array[finite], z[finite]
+        with np.errstate(over="ignore"):
+            exponent = np.abs(zf) ** (1.0 / kappa)
+        series = np.where(zf < 0, exponent <= _SERIES_EXPONENT_BUDGET,
+                          exponent < _POSITIVE_SERIES_EXPONENT_MAX)
+        # the series' own cancellation scale: math.exp and np.exp differ in
+        # the last bit, and the terms reach ~exp(|z|**(1/k))
+        bound = 1e-15 * (np.exp(np.minimum(exponent, 700.0)) + np.abs(a))
+        assert np.all(np.abs(s - a)[series] <= bound[series])
+        assert np.all(np.abs(s - a)[~series] <= 1e-14 * np.abs(a)[~series])
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_domain_error(self, kappa, bad):
+        for z in (bad, np.array([bad]), np.array([-1.0, bad])):
+            with pytest.raises(DomainError, match="finite"):
+                mittag_leffler(kappa, z)
+
+    @pytest.mark.parametrize("kappa, z", [(0.5, -1.0), (0.5, -3.0), (0.5, 5.0), (1.0, 0.5)])
+    def test_return_types(self, kappa, z):
+        # series, cut integral, lead - R and kappa 1
+        for scalar in (z, np.float64(z), np.array(z)):
+            assert type(mittag_leffler(kappa, scalar)) is float
+        for shape in [(1,), (1, 1)]:
+            got = mittag_leffler(kappa, np.full(shape, z))
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            assert got.item() == mittag_leffler(kappa, z)
 
 
 def _per_term_loop(table, first, total, runs, tol, max_terms):
