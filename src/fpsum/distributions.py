@@ -27,6 +27,7 @@ from .special_functions import (
     _check_kappa,
     _gl_panels,
     _kanter_log,
+    _legendre,
     _log_gamma,
     _mixing_density_log,
     _sum_series,
@@ -193,8 +194,8 @@ _NODES_FLANK_WIDTH = 2.0
 
 
 @lru_cache(maxsize=32)
-def _mixing_nodes(kappa: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of int h(u) g(u) du against the mixing density, as (u, log(w g(u))).
+def _mixing_panels(kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The level-0 panels of the mixing nodes, as (log_v, u, log w, log g(u)).
 
     16-point Gauss-Legendre panels in v = sqrt(u), laid out in log v around
     v_c = a0**(-(1-k)/2), where g's flank exp(-a0 u**(1/(1-k))) sets in.
@@ -203,11 +204,10 @@ def _mixing_nodes(kappa: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     v ~ |y| that gives the NML density its cusp.  Right of v_c they are
     _NODES_FLANK_WIDTH wide in r = sqrt(a0 u**(1/(1-k))), which also spans
     the integrand's peak in the far tail of the density, and they end where
-    log g reaches _NODES_LOG_G_END.  Each panel but the first, [0, v_c *
-    2**-46], is then cut into 2**level equal parts in log v: level 0 serves
-    the NML density, and the FP pmf (branch "auto", or its second name
-    "mixture") takes finer levels for the Poisson kernel, which is
-    ~1/sqrt(n) wide in log u.  The weights are in the u-measure, du = 2 v dv.
+    log g reaches _NODES_LOG_G_END.  log_v holds the panel edges but the
+    first panel's 0, so panel p > 0 is [exp(log_v[p-1]), exp(log_v[p])].
+    The nodes come panel by panel, and the weights are in the u-measure,
+    du = 2 v dv.  These are the only nodes at which g is evaluated.
     """
     c = 1.0 - kappa
     log_a0 = math.log(c) + kappa / c * math.log(kappa)
@@ -223,12 +223,75 @@ def _mixing_nodes(kappa: float, level: int) -> tuple[np.ndarray, np.ndarray]:
         r_hi += _NODES_FLANK_WIDTH
     r = np.arange(1.0, r_hi + _NODES_FLANK_WIDTH, _NODES_FLANK_WIDTH)
     log_v = np.concatenate((left[::-1], log_vc + c * np.log(r)))
-    parts = 2**level
-    log_v = np.interp(np.arange((log_v.size - 1) * parts + 1) / parts, np.arange(log_v.size), log_v)
     edges = np.concatenate(([0.0], np.exp(log_v)))
     v, w = _gl_panels(edges[:-1], edges[1:], 16)
     u = v * v
-    return u, np.log(2.0 * v * w) + _mixing_log_density(kappa, u)
+    return log_v, u, np.log(2.0 * v * w), _mixing_log_density(kappa, u)
+
+
+def _refined_nodes(
+    kappa: float, level: int, panels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (u, log w, log g(u)) of the level-0 panels numbered ``panels``
+    (ascending), each but the first cut into 2**level equal parts in log v.
+
+    The first panel, [0, v_c * 2**-46], is never cut and keeps its nodes.
+    At a new node, log g is the barycentric interpolant of its level-0
+    panel's 16 values of log g, in v, with the Gauss-Legendre points'
+    barycentric weights (-1)**j sqrt((1 - x_j**2) w_j) (Wang, Huybrechs &
+    Vandewalle 2014): no density integral is taken here.
+    """
+    log_v, u0, log_w0, log_g0 = _mixing_panels(kappa)
+    parts = 2**level
+    cut = panels[panels > 0]
+    # the edges of cutting every panel, np.interp at m / parts
+    m = ((cut - 1)[:, None] * parts + np.arange(parts + 1)).ravel()
+    sub = np.exp(np.interp(m / parts, np.arange(log_v.size), log_v)).reshape(cut.size, parts + 1)
+    v, w = _gl_panels(sub[:, :-1].ravel(), sub[:, 1:].ravel(), 16)
+    # each new node in its level-0 panel's coordinate t in [-1, 1]
+    mid, half = (sub[:, 0] + sub[:, -1]) / 2.0, (sub[:, -1] - sub[:, 0]) / 2.0
+    t = (v.reshape(cut.size, parts * 16) - mid[:, None]) / half[:, None]
+    xg, wg = _legendre(16)
+    diff = t[:, :, None] - xg
+    hit = diff == 0.0
+    # at a level-0 point, all the weight is on it
+    ratio = np.where(
+        hit.any(axis=2, keepdims=True),
+        hit,
+        (-1.0) ** np.arange(16) * np.sqrt((1.0 - xg * xg) * wg) / np.where(hit, 1.0, diff),
+    )
+    log_g = np.einsum("pnj,pj->pn", ratio, log_g0.reshape(-1, 16)[cut]) / ratio.sum(axis=2)
+    u, log_w, log_g = v * v, np.log(2.0 * v * w), log_g.ravel()
+    if panels.size and panels[0] == 0:
+        return (np.concatenate((u0[:16], u)), np.concatenate((log_w0[:16], log_w)),
+                np.concatenate((log_g0[:16], log_g)))
+    return u, log_w, log_g
+
+
+def _mixing_nodes(kappa: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of int h(u) g(u) du against the mixing density, as (u, log(w g(u))).
+
+    Level 0 is the panels of ``_mixing_panels``, the only nodes at which g is
+    evaluated; it serves the NML density.  At level > 0 every panel but the
+    first is cut into 2**level equal parts in log v, and log g interpolated
+    (``_refined_nodes``).  The FP pmf refines, for the Poisson kernel, which
+    is ~1/sqrt(n) wide in log u, only the panels that hold its integrand.
+    """
+    log_v, u, log_w, log_g = _mixing_panels(kappa)
+    if level > 0:
+        u, log_w, log_g = _refined_nodes(kappa, level, np.arange(log_v.size))
+    return u, log_w + log_g
+
+
+def _exponents(x: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The matrix x_j * a_i + b_i in chunks of rows, to bound memory:
+    yields (rows, chunk)."""
+    step = max(1, int(1e6 // a.size))
+    for i in range(0, x.size, step):
+        rows = slice(i, i + step)
+        expo = np.multiply.outer(x[rows], a)
+        expo += b
+        yield rows, expo
 
 
 def _log_sum_exp(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,20 +299,17 @@ def _log_sum_exp(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Each row is shifted by its largest exponent, so the sum is positive and
     finite: the result is -inf only where every exponent is -inf, and NaN at
-    a NaN x.  The exponent matrix is chunked to bound memory.
+    a NaN x.
     """
     out = np.empty(x.shape)
-    step = max(1, int(4e6 // a.size))
     with np.errstate(under="ignore", divide="ignore"):
-        for i in range(0, x.size, step):
-            # one matrix per chunk, updated in place
-            expo = np.multiply.outer(x[i : i + step], a)
-            expo += b
+        # one matrix per chunk, updated in place
+        for rows, expo in _exponents(x, a, b):
             shift = expo.max(axis=1)
             # a row of -inf: shift by 0, and its log sum is -inf
             shift[shift == -np.inf] = 0.0
             expo -= shift[:, None]
-            out[i : i + step] = shift + np.log(np.exp(expo, out=expo).sum(axis=1))
+            out[rows] = shift + np.log(np.exp(expo, out=expo).sum(axis=1))
     return out
 
 
@@ -287,20 +347,52 @@ def _fp_pmf_series(nu: float, kappa: float, n: np.ndarray) -> tuple[np.ndarray, 
     return total, peak
 
 
-def _fp_mixture_level(n_max: float) -> int:
-    """Level of the mixing nodes for counts up to n_max.  The Poisson kernel
-    is ~1/sqrt(n) wide in log u: one level per factor 4 of the count, so 1 up
-    to n 23, 2 to 95, 3 to 383, 4 to 1535, each within 2e-12 of two levels
-    finer at nu 1 to 1e4, kappa 0.01 to 0.999."""
-    return max(1, math.ceil(math.log2((n_max + 1.0) / 6.0) / 2.0))
+def _fp_mixture_level(n):
+    """Level of the mixing nodes for count n (a number or an array).  The
+    Poisson kernel is ~1/sqrt(n) wide in log u: one level per factor 4 of the
+    count, so 1 up to n 23, 2 to 95, 3 to 383, 4 to 1535, each within 2e-12
+    of two levels finer at nu 1 to 1e4, kappa 0.01 to 0.999."""
+    return np.maximum(1, np.ceil(np.log2((np.asarray(n) + 1.0) / 6.0) / 2.0)).astype(int)
+
+
+# a level-0 panel joins a block's window where some count's integrand at one
+# of its nodes is within this of the count's largest one
+_FP_WINDOW_DEPTH = 60.0
+
+
+def _fp_window(n: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The level-0 panels that hold the integrand exp(n a_i + b_i) of counts
+    n, a = log(nu u) and b = log(w g) - nu u on the level-0 nodes, as
+    ascending panel numbers: those where it comes within _FP_WINDOW_DEPTH of
+    its largest value for some n, and one more panel on each side.  The
+    neighbours catch a peak narrower than the level-0 node spacing, which
+    lies next to its largest node."""
+    near = np.zeros(a.size, dtype=bool)
+    for _, expo in _exponents(n, a, b):
+        near |= (expo >= expo.max(axis=1, keepdims=True) - _FP_WINDOW_DEPTH).any(axis=0)
+    held = near.reshape(-1, 16).any(axis=1)
+    grown = held.copy()
+    grown[1:] |= held[:-1]
+    grown[:-1] |= held[1:]
+    return np.flatnonzero(grown)
 
 
 def _fp_pmf_mixture(nu: float, kappa: float, n: np.ndarray) -> np.ndarray:
-    """Integral of Poisson(n; nu*u) against the mixing density."""
-    u, log_wg = _mixing_nodes(kappa, _fp_mixture_level(n.max(initial=0.0)))
-    log_p = _log_sum_exp(n, np.log(nu * u), log_wg - nu * u) - _log_gamma(n + 1.0)
+    """Integral of Poisson(n; nu*u) against the mixing density.  The counts
+    of each level of ``_fp_mixture_level`` form one block, which sums over
+    its window of level-0 panels (``_fp_window``) refined to that level."""
+    u0, log_wg0 = _mixing_nodes(kappa, 0)
+    a0, b0 = np.log(nu * u0), log_wg0 - nu * u0
+    levels = _fp_mixture_level(n)
+    log_p = np.empty(n.shape)
+    # not np.unique, whose first call imports numpy.ma (~14 ms)
+    for level in sorted(set(levels.tolist())):
+        rows = levels == level
+        panels = _fp_window(n[rows], a0, b0)
+        u, log_w, log_g = _refined_nodes(kappa, level, panels)
+        log_p[rows] = _log_sum_exp(n[rows], np.log(nu * u), log_w + log_g - nu * u)
     with np.errstate(under="ignore"):
-        return np.exp(log_p)
+        return np.exp(log_p - _log_gamma(n + 1.0))
 
 
 @dataclass(frozen=True)
@@ -320,10 +412,16 @@ class FractionalPoissonLaw:
 
         branch:
             "auto"     int Poisson(n; nu*u) g(u) du on the mixing nodes of
-                       the NML density, refined for the Poisson kernel
-                       (``_mixing_nodes``): ~1e-13 relative against the
-                       mpmath oracles up to kappa 0.999.  Above kappa
-                       1 - 1e-6 it raises EvaluationError;
+                       the NML density: the counts of each level
+                       (``_fp_mixture_level``) sum over the panels that hold
+                       their integrand, refined for the Poisson kernel with
+                       log g interpolated (``_fp_pmf_mixture``).  ~1e-13
+                       relative against the mpmath oracles up to kappa
+                       0.999, and within 1e-12 + a few eps*n*log(n) at n in
+                       the thousands, where rounding sets that floor.  A
+                       table costs its length times its window of panels,
+                       not times every panel.  Above kappa 1 - 1e-6 it
+                       raises EvaluationError;
             "mixture"  a second name for "auto";
             "series"   the alternating series, an independent route.  It
                        raises EvaluationError, pointing at the mixture, when

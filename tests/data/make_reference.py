@@ -42,15 +42,19 @@ independent of the library's own evaluation paths:
 * ``ml_seams``  -- E_k on both sides of each seam of the library's branch
                    dispatch, at z placed from its module constants, by the
                    ``ml`` oracle.
+* ``fp_pmf_long`` -- the fractional Poisson series at counts 96 to 2978,
+                   with guard digits set from its largest term
+                   (``fp_pmf_long_mp``); ~20 s.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
-      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams
+      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long
       (recomputes only those sections of ``SECTIONS`` and keeps the others
-      as they are; CI checks that these three reproduce the frozen file).
+      as they are; CI checks that these four reproduce the frozen file).
       ``ml_seams`` reads the seams from ``fpsum.special_functions``, so
       fpsum must be importable (installed, or ``PYTHONPATH=src``).
 """
 
+import functools
 import json
 import math
 import pathlib
@@ -497,6 +501,97 @@ def fp_pmf_near_one_section():
     ]
 
 
+def _fp_long_peak(nu, kappa, n):
+    """(i, log10 |T_i|) at the largest term of ``fp_pmf_long_mp``'s series,
+    in double precision: log |T_i| is concave in i, so climb to its peak."""
+
+    def log10_term(i):
+        m = n + i
+        return (m * math.log(nu) + math.lgamma(m + 1.0) - math.lgamma(n + 1.0)
+                - math.lgamma(i + 1.0) - math.lgamma(kappa * m + 1.0)) / math.log(10.0)
+
+    i = 0
+    while log10_term(i + 1) >= log10_term(i):
+        i += 1
+    return i, log10_term(i)
+
+
+def _fp_long_dps(nu, kappa, n, rel_dps):
+    """Working precision: the largest term's digits, and 340 more for values
+    down to 1e-300 and the rounding of a few thousand terms."""
+    return rel_dps + max(0, int(_fp_long_peak(nu, kappa, n)[1])) + 340
+
+
+# the precision of the gammas that fp_pmf_long_mp starts from, above that of
+# every point: mp.gamma builds its tables once per precision, at seconds a time
+_FP_LONG_GAMMA_DPS = 2000
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_one_plus(r, q):
+    """Gamma(1 + r/q), at _FP_LONG_GAMMA_DPS digits."""
+    with mp.workdps(_FP_LONG_GAMMA_DPS):
+        return mp.gamma(mp.mpf(r) / q + 1)
+
+
+def fp_pmf_long_mp(nu, kappa, n, rel_dps=25):
+    """P(N = n) by the series of ``fp_pmf_mp``, sum_i T_i with
+    T_i = (-1)^i nu^(n+i) (n+i)!/(n! i! Gamma(k(n+i) + 1)), at counts in the
+    hundreds to thousands.
+
+    There the terms grow far past exp(nu**(1/k)), so the guard comes from
+    the largest |T_i| and from the smallest value kept, 1e-300
+    (``_fp_long_dps``).  kappa must be p/q exactly with a small q, and nu an
+    integer: then Gamma(k m + 1) steps from m to m + q by exact integer
+    factors, from q gammas Gamma(1 + r/q) that all counts share.
+    """
+    p, q = float(kappa).as_integer_ratio()
+    assert q <= 64 and nu == int(nu), (nu, kappa)
+    nu = int(nu)
+    peak_i = _fp_long_peak(nu, kappa, n)[0]
+    dps = _fp_long_dps(nu, kappa, n, rel_dps)
+    assert dps <= _FP_LONG_GAMMA_DPS, (nu, kappa, n, dps)
+    with mp.workdps(dps):
+        # gam[i % q] holds Gamma(k(n + i) + 1) for the next q values of i.
+        # With k m = j + r/q, Gamma(k m + 1) = Gamma(1 + r/q) times the
+        # integers r + q, r + 2q, ..., r + jq over q**j, and
+        # Gamma(k(m + q) + 1) = Gamma(k m + 1) times p m + q, ..., p m + pq
+        # over q**p: all but the first factor are exact integers
+        gam = []
+        for m in range(n, n + q):
+            j, r = divmod(p * m, q)
+            gam.append(_gamma_one_plus(r, q) * math.prod(range(r + q, r + j * q + 1, q)) / q**j)
+        a = mp.mpf(nu) ** n  # (-nu)^i nu^n (n+i)!/(n! i!)
+        s = mp.mpf(0)
+        i = 0
+        while True:
+            t = a / gam[i % q]
+            s += t
+            m = n + i
+            gam[i % q] *= mp.mpf(math.prod(range(p * m + q, p * m + p * q + 1, q))) / q**p
+            a = a * (-nu * (m + 1)) / (i + 1)
+            i += 1
+            if i > peak_i and abs(t) < mp.mpf(10) ** (-(rel_dps + 30)) * abs(s):
+                assert s > mp.mpf(10) ** -300, (nu, kappa, n, s)
+                return s
+
+
+def fp_pmf_long_section():
+    """[nu, kappa, n, P(N = n)] rows at counts on levels 3 to 5 of the
+    library's mixture (n 96 to 6143), out into g's flank where the value
+    stays above 1e-300; kappa is dyadic, as ``fp_pmf_long_mp`` needs."""
+    counts = {
+        (30.0, 0.5): [96, 383, 384, 1000, 1535, 1536, 2000],
+        (200.0, 0.75): [100, 383, 384, 700, 1535, 1536, 2000, 2500],
+        (1000.0, 0.9375): [383, 384, 1000, 1382, 1535, 1536, 2000, 2500, 2978],
+    }
+    return [
+        [nu, kap, n, float(fp_pmf_long_mp(nu, kap, n))]
+        for (nu, kap), ns in counts.items()
+        for n in ns
+    ]
+
+
 def _exact_repr(z, bits=12):
     """z rounded to ``bits`` significant bits: its short decimal repr, which
     ``ml_oracle`` reads, is then exactly the double the library is given."""
@@ -540,6 +635,7 @@ SECTIONS = {
     "nml_near_one": nml_near_one_section,
     "fp_pmf_near_one": fp_pmf_near_one_section,
     "ml_seams": ml_seams_section,
+    "fp_pmf_long": fp_pmf_long_section,
 }
 
 

@@ -5,11 +5,15 @@ from scipy.special import chdtrc, gammaln
 
 from fpsum.distributions import (
     FractionalPoissonLaw,
+    MittagLefflerLaw,
     RngStream,
     _fp_mixture_level,
     _fp_pmf_mixture,
     _log_sum_exp,
+    _mixing_log_density,
     _mixing_nodes,
+    _mixing_panels,
+    _refined_nodes,
 )
 from fpsum.errors import DomainError, EvaluationError
 from fpsum.special_functions import _log_gamma, mittag_leffler
@@ -53,15 +57,67 @@ class TestPmf:
         n = np.arange(400)
         assert abs(law.pmf(n).sum() - 1.0) <= 1e-8
 
+    def test_long_against_reference(self, reference):
+        # at n in the thousands, n log(nu u) and log n! are ~n log n, and each
+        # is rounded to a few ulp before they cancel: that floor on top of
+        # the 1e-12 of the short counts.  Each count alone, then each law's
+        # counts in one table, through its level blocks
+        laws = {}
+        for nu, kappa, n, want in reference["fp_pmf_long"]:
+            laws.setdefault((nu, kappa), []).append((n, want))
+        for (nu, kappa), rows in laws.items():
+            n, want = (np.array(col) for col in zip(*rows))
+            rtol = 1e-12 + 3.0 * np.finfo(float).eps * n * np.log(n)
+            law = FractionalPoissonLaw(nu, kappa)
+            for got in (np.array([law.pmf(int(m)) for m in n]), law.pmf(n)):
+                assert np.all(np.abs(got - want) <= rtol * want), f"nu={nu}, kappa={kappa}"
+
     @pytest.mark.parametrize("nu,kappa,n_max", [(30.0, 0.3, 199), (10.0, 0.05, 40), (100.0, 0.05, 1200)])
     def test_mixture_level_is_converged(self, nu, kappa, n_max):
-        # the level picked from the largest count agrees with the same
-        # nodes two levels finer
+        # the level picked per count agrees with every panel two levels
+        # finer, with g evaluated at those nodes rather than interpolated
         n = np.arange(n_max + 1.0)
         got = _fp_pmf_mixture(nu, kappa, n)
-        u, log_wg = _mixing_nodes(kappa, _fp_mixture_level(n_max) + 2)
+        panels = np.arange(_mixing_panels(kappa)[0].size)
+        u, log_w, _ = _refined_nodes(kappa, int(_fp_mixture_level(n_max)) + 2, panels)
+        log_wg = log_w + _mixing_log_density(kappa, u)
         fine = np.exp(_log_sum_exp(n, np.log(nu * u), log_wg - nu * u) - _log_gamma(n + 1.0))
         assert_allclose(got, fine, rtol=1e-11)
+
+    @pytest.mark.parametrize(
+        "nu,kappa,n_max",
+        [(3.0, 0.05, 400), (50.0, 0.05, 1600), (5.0, 0.5, 400), (100.0, 0.5, 1600),
+         (2.0, 0.99, 400), (30.0, 0.99, 800), (2.0, 0.999, 400), (30.0, 0.999, 800)],
+    )
+    def test_windows_drop_nothing(self, nu, kappa, n_max):
+        # each level block sums over its window of panels only; summing over
+        # every refined node gives the same, out to counts deep in g's flank
+        n = np.arange(n_max + 1.0)
+        levels = _fp_mixture_level(n)
+        assert np.unique(levels).size >= 3
+        want = np.empty(n.shape)
+        for level in np.unique(levels):
+            rows = levels == level
+            u, log_wg = _mixing_nodes(kappa, int(level))
+            want[rows] = _log_sum_exp(n[rows], np.log(nu * u), log_wg - nu * u)
+        want -= _log_gamma(n + 1.0)
+        got = _fp_pmf_mixture(nu, kappa, n)
+        normal = want > -700.0
+        assert_allclose(got[normal], np.exp(want[normal]), rtol=1e-13)
+        assert np.all(got[~normal] < 1e-300)
+
+    def test_count_does_not_depend_on_the_table(self):
+        law = FractionalPoissonLaw(100.0, 0.5)
+        table = law.pmf(np.arange(2000))
+        for n in [0, 23, 24, 95, 96, 500, 1535, 1536, 1999]:
+            assert_allclose(law.pmf(n), table[n], rtol=1e-13, err_msg=f"n={n}")
+            assert_allclose(law.pmf([n]), table[[n]], rtol=1e-13, err_msg=f"n={n}")
+
+    def test_one_count_far_out(self):
+        # by the weak limit N/nu -> U, nu P(N = n) -> g(n/nu); one count at
+        # level 10 refines only the few panels around u = 2
+        got = FractionalPoissonLaw(1e6, 0.5).pmf(2_000_000)
+        assert_allclose(got, MittagLefflerLaw(0.5).density(2.0) / 1e6, rtol=1e-5)
 
     def test_mixture_holds_the_spike_near_one(self):
         # at kappa 0.999 the mixing density is a spike ~0.03 wide; the
@@ -98,6 +154,36 @@ class TestPmf:
             FractionalPoissonLaw(0.0, 0.5)
         with pytest.raises(DomainError, match="scalar"):
             FractionalPoissonLaw(1.0, np.array([0.5]))
+
+
+class TestRefinedNodes:
+    @pytest.mark.parametrize(
+        "kappa,atol",
+        [(0.01, 3e-13), (0.05, 3e-13), (0.2, 3e-13), (0.5, 3e-13), (0.7, 3e-13),
+         (0.9, 5e-13), (0.95, 2e-12), (0.99, 5e-12), (0.999, 5e-11)],
+    )
+    def test_refined_log_g_is_interpolated(self, kappa, atol):
+        # log g at the refined nodes comes from level 0 by interpolation;
+        # it meets the density evaluated there wherever log g is within 60
+        # of its maximum
+        panels = np.arange(_mixing_panels(kappa)[0].size)
+        for level in range(1, 6):
+            u, _, log_g = _refined_nodes(kappa, level, panels)
+            near = log_g >= log_g.max() - 61.0
+            direct = _mixing_log_density(kappa, u[near])
+            keep = direct >= direct.max() - 60.0
+            err = np.abs(log_g[near] - direct)[keep].max()
+            assert err <= atol, f"level {level}: {err:.3g}"
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.9])
+    def test_level_zero_gives_back_the_panels(self, kappa):
+        # cut into one part, each panel gives back its own nodes, 12-17 % of
+        # them exactly on a level-0 point, where the interpolant must take
+        # the value there rather than divide by zero
+        log_v, u0, log_w0, log_g0 = _mixing_panels(kappa)
+        u, log_w, log_g = _refined_nodes(kappa, 0, np.arange(log_v.size))
+        assert np.array_equal(u, u0) and np.array_equal(log_w, log_w0)
+        assert_allclose(log_g, log_g0, rtol=0.0, atol=5e-12)
 
 
 class TestPgf:
