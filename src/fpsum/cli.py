@@ -37,6 +37,7 @@ from .random_sums import (
     convergence_sweep,
     run_mc_tables,
 )
+from ._float_text import float_rows
 from .special_functions import mittag_leffler
 
 SCHEMA_TAG = "fpsum-output/v1"
@@ -343,18 +344,34 @@ def _clean(obj, arrays: list):
     return obj
 
 
-def _value_chunks(values: np.ndarray, nan: str, pos_inf: str, neg_inf: str):
-    """Text of a 1-d array, chunk by chunk: the repr of each value, as json
-    and csv write a float or an int, and the given spelling of each
-    non-finite one."""
-    for start in range(0, values.size, _CHUNK):
+def _value_rows(values, nan: str, pos_inf: str, neg_inf: str):
+    """Text of a 1-d array or a list of strings, chunk by chunk, as (n, w)
+    uint8 rows padded with zero bytes.  A float is written as repr writes
+    it, as json and csv do, and a non-finite one with the given spelling;
+    other values are written with repr, strings as they are."""
+    for start in range(0, len(values), _CHUNK):
         chunk = values[start : start + _CHUNK]
-        text = list(map(repr, chunk.tolist()))
-        if chunk.dtype.kind == "f":
-            for i in np.flatnonzero(~np.isfinite(chunk)):
-                v = chunk[i]
-                text[i] = nan if np.isnan(v) else pos_inf if v > 0 else neg_inf
-        yield text
+        if isinstance(chunk, np.ndarray):
+            if chunk.dtype.kind == "f":
+                yield float_rows(chunk, nan, pos_inf, neg_inf)
+                continue
+            chunk = list(map(repr, chunk.tolist()))
+        yield np.array(chunk, dtype=bytes).view(np.uint8).reshape(len(chunk), -1)
+
+
+def _join_rows(parts) -> str:
+    """One chunk of text: the parts, byte rows and str separators, side by
+    side on each row, with the zero padding dropped."""
+    n = next(len(p) for p in parts if isinstance(p, np.ndarray))
+    matrix = np.concatenate(
+        [
+            p if isinstance(p, np.ndarray)
+            else np.broadcast_to(np.frombuffer(p.encode(), np.uint8), (n, len(p)))
+            for p in parts
+        ],
+        axis=1,
+    )
+    return matrix[matrix != 0].tobytes().decode("ascii")
 
 
 def _json_pieces(payload: dict):
@@ -376,9 +393,11 @@ def _json_pieces(payload: dict):
             line = text[text.rfind("\n", 0, slot.start()) + 1 : slot.start()]
             indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
             sep = "," + indent + "  "
-            yield "[" + sep[1:]
-            for i, chunk in enumerate(_value_chunks(values, "null", '"inf"', '"-inf"')):
-                yield (sep if i else "") + sep.join(chunk)
+            # sep goes before each value, without its comma before the first
+            yield "["
+            for i, rows in enumerate(_value_rows(values, "null", '"inf"', '"-inf"')):
+                chunk = _join_rows((sep, rows))
+                yield chunk if i else chunk[1:]
             yield indent + "]"
         yield text[pos:] + "\n"
 
@@ -432,15 +451,13 @@ def _csv_pieces(payload: dict):
     keys, headers = zip(*_CSV_COLUMNS[kind])
     nan = '""' if len(keys) == 1 else ""
 
-    def column(values):
-        if isinstance(values, np.ndarray):
-            return _value_chunks(values, nan, "inf", "-inf")
-        return (values[i : i + _CHUNK] for i in range(0, len(values), _CHUNK))
-
     def pieces():
         yield ",".join(headers) + "\n"
-        for chunks in zip(*(column(payload[k]) for k in keys)):
-            yield "\n".join(map(",".join, zip(*chunks))) + "\n"
+        columns = (_value_rows(payload[k], nan, "inf", "-inf") for k in keys)
+        for rows in zip(*columns):
+            parts = [part for r in rows for part in (r, ",")]
+            parts[-1] = "\n"
+            yield _join_rows(parts)
 
     return pieces()
 

@@ -45,13 +45,17 @@ independent of the library's own evaluation paths:
 * ``fp_pmf_long`` -- the fractional Poisson series at counts 96 to 2978,
                    with guard digits set from its largest term
                    (``fp_pmf_long_mp``); ~20 s.
+* ``mixing_seams`` -- the mixing density on both sides of the exponent
+                   budget where the library leaves its series for the
+                   stable integral, by ``mixing_density_split_mp``.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
-      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long
+      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long mixing_seams
       (recomputes only those sections of ``SECTIONS`` and keeps the others
-      as they are; CI checks that these four reproduce the frozen file).
-      ``ml_seams`` reads the seams from ``fpsum.special_functions``, so
-      fpsum must be importable (installed, or ``PYTHONPATH=src``).
+      as they are; CI checks that these five reproduce the frozen file).
+      ``ml_seams`` and ``mixing_seams`` read the seams from the library's
+      constants, so fpsum must be importable (installed, or
+      ``PYTHONPATH=src``).
 """
 
 import functools
@@ -438,7 +442,10 @@ def fp_pmf_mp(nu, kappa, n, rel_dps=25):
     """P(N = n) = nu^n/n! sum_i (-nu)^i (i+n)! / (i! Gamma(k(i+n) + 1)).
 
     The terms grow to roughly exp(nu**(1/k)) before the sum cancels, so the
-    working precision carries 0.45 * nu**(1/k) + 40 guard digits.
+    working precision carries 0.45 * nu**(1/k) + 40 guard digits.  At large
+    n the terms grow further, and the largest one then sets how many digits
+    cancel: when they use up the guard, this raises RuntimeError
+    (``fp_pmf_long_mp`` sets its guard from the largest term instead).
     """
     peak_log = nu ** (1.0 / kappa)
     guard = int(0.45 * peak_log) + 40
@@ -446,13 +453,21 @@ def fp_pmf_mp(nu, kappa, n, rel_dps=25):
         k = mp.mpf(repr(kappa))
         v = mp.mpf(repr(nu))
         s = mp.mpf(0)
+        largest = mp.mpf(0)
+        # the sum is at most n!/nu^n, since P(N = n) <= 1: a term above
+        # 10**guard times that has used up the guard before the sum ends
+        cap = mp.mpf(10) ** guard * mp.factorial(n) / v**n
         i = 0
         peak_i = peak_log / kappa
         while True:
             t = (-v) ** i * mp.factorial(i + n) / (mp.factorial(i) * mp.gamma(k * (i + n) + 1))
             s += t
+            largest = max(largest, abs(t))
             i += 1
-            if i > peak_i + 40 and abs(t) < mp.mpf(10) ** (-(rel_dps + 30)) * abs(s):
+            done = i > peak_i + 40 and abs(t) < mp.mpf(10) ** (-(rel_dps + 30)) * abs(s)
+            if largest > cap or done and largest > mp.mpf(10) ** guard * abs(s):
+                raise RuntimeError(f"fp pmf oracle lost its guard digits at ({nu}, {kappa}, {n})")
+            if done:
                 return v**n / mp.factorial(n) * s
             if i > 3 * peak_i + 200000:
                 raise RuntimeError("fp pmf oracle stalled")
@@ -628,6 +643,24 @@ def ml_seams_section():
             for kap, z in ((kap, _exact_repr(z)) for kap, z in points)]
 
 
+def mixing_seams_section():
+    """[kappa, u, g(u)] rows 2 % to either side of the seam where
+    ``MittagLefflerLaw.density`` hands the mixing density from its series
+    to the stable integral: the exponent (1-k) k**(k/(1-k)) u**(1/(1-k)) at
+    ``_ML_SERIES_EXPONENT_BUDGET`` (1 -+ 0.02), placed from the library's
+    constant, by the split-integral oracle.  Rounding u to 12 bits moves the
+    exponent by < 1.3e-4/(1-k) relative, < 0.3 % at kappa 0.95."""
+    from fpsum import distributions as dist
+
+    rows = []
+    for kap in [0.2, 0.5, 0.8, 0.95]:
+        a0 = (1 - kap) * kap ** (kap / (1 - kap))
+        for f in (0.98, 1.02):
+            u = _exact_repr((f * dist._ML_SERIES_EXPONENT_BUDGET / a0) ** (1 - kap))
+            rows.append([kap, u, float(mixing_density_split_mp(kap, u))])
+    return rows
+
+
 # sections that can be recomputed on their own, by name on the command line
 SECTIONS = {
     "fp_pmf": fp_pmf_section,
@@ -636,6 +669,7 @@ SECTIONS = {
     "fp_pmf_near_one": fp_pmf_near_one_section,
     "ml_seams": ml_seams_section,
     "fp_pmf_long": fp_pmf_long_section,
+    "mixing_seams": mixing_seams_section,
 }
 
 

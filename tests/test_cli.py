@@ -467,3 +467,74 @@ class TestReportWriters:
     def test_lone_nan_field_is_quoted(self):
         text = "".join(_csv_pieces({"kind": "samples", "values": np.array([1.5, np.nan])}))
         assert text == 'value\n1.5\n""\n'
+
+
+# Families of doubles on which a shortest-digit kernel goes wrong first: the
+# ends of the positional range, powers of two (asymmetric rounding interval),
+# near-ties and short decimals.  Each carries NaN and +-inf, and the writers
+# take them in chunks of 4096 values, so every family crosses chunk bounds.
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _both_signs(values):
+    return np.concatenate([values, -values])
+
+
+def _float_family(name):
+    rng = np.random.default_rng(2018)
+    n = 20_000
+    if name.startswith("nml"):
+        values = NmlLaw(0.0, 1.0, float(name[3:])).sample(RngStream(7), n)
+    elif name == "bit_patterns":
+        values = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    elif name == "log_uniform":
+        values = np.exp(rng.uniform(np.log(1e-5), np.log(1e17), n)) * rng.choice([-1.0, 1.0], n)
+    elif name == "ulps_of_powers_of_ten":
+        tens = [float(f"1e{e}") for e in range(-5, 17)]
+        values = _both_signs((_bits(tens)[:, None] + np.arange(-1000, 1001)).ravel().view(float))
+    elif name == "powers_of_two":
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        values = _both_signs((_bits(twos)[:, None] + np.arange(-1, 2)).ravel().view(float))
+    elif name == "short_decimals":
+        u = rng.uniform(-1000.0, 1000.0, n)
+        parts = np.array_split(u, 12)
+        values = np.concatenate([np.round(part, k) for k, part in enumerate(parts)])
+    elif name == "integers":
+        big = np.arange(2**53 - 2000, 2**53 + 3)
+        values = np.concatenate(
+            [big, -big, rng.integers(-(2**53) - 2, 2**53 + 3, n), np.arange(-3000, 3000)]
+        ).astype(np.float64)
+    elif name == "halfway":
+        values = np.ldexp(rng.integers(0, 2**52, n) + 0.5, rng.integers(-70, 20, n))
+    elif name == "float32":
+        values = (rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 16, n)).astype(np.float32)
+    elif name == "extremes":
+        tiny = rng.integers(1, 2**52, 3000).view(np.float64)  # subnormals
+        edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, 1e15, 1e16]
+        edges = (_bits(edges)[:, None] + np.arange(-2, 3)).ravel().view(np.float64)
+        values = _both_signs(np.concatenate([tiny, edges[edges >= 0], [np.inf, np.nan]]))
+    values = np.array(values, dtype=np.float64)
+    values[7::1009] = np.nan
+    values[11::1013] = np.inf
+    values[13::1019] = -np.inf
+    return values
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["nml0.05", "nml0.5", "nml0.95", "bit_patterns", "log_uniform", "ulps_of_powers_of_ten",
+     "powers_of_two", "short_decimals", "integers", "halfway", "float32", "extremes"],
+)
+def test_float_text_is_repr(name, monkeypatch):
+    monkeypatch.setattr("fpsum.cli._CHUNK", 1 << 12)
+    values = _float_family(name)
+    payload = {"kind": "samples", "values": values, "seed": 1}
+    assert "".join(_json_pieces(payload)) == _reference_json(payload)
+    columns = (("values", "value"),)
+    assert "".join(_csv_pieces(payload)) == _reference_csv(payload, columns)
+    payload = {"kind": "density_grid", "x": values[::-1].copy(), "density": values}
+    columns = (("x", "x"), ("density", "density"))
+    assert "".join(_csv_pieces(payload)) == _reference_csv(payload, columns)

@@ -72,6 +72,12 @@ class TestPmf:
             for got in (np.array([law.pmf(int(m)) for m in n]), law.pmf(n)):
                 assert np.all(np.abs(got - want) <= rtol * want), f"nu={nu}, kappa={kappa}"
 
+    def test_series_oracle_fails_loudly_at_large_n(self, make_reference):
+        # its guard digits follow nu**(1/k), but at n 100 the terms grow far
+        # past that, and the sum would be 3.1e86 without an error
+        with pytest.raises(RuntimeError, match="guard digits"):
+            make_reference.fp_pmf_mp(30.0, 0.5, 100)
+
     @pytest.mark.parametrize("nu,kappa,n_max", [(30.0, 0.3, 199), (10.0, 0.05, 40), (100.0, 0.05, 1200)])
     def test_mixture_level_is_converged(self, nu, kappa, n_max):
         # the level picked per count agrees with every panel two levels

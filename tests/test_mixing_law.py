@@ -1,23 +1,13 @@
-import importlib.util
 import math
-import pathlib
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gamma, roots_legendre
 
-from fpsum.distributions import MittagLefflerLaw, RngStream
+from fpsum.distributions import _ML_SERIES_EXPONENT_BUDGET, MittagLefflerLaw, RngStream
 from fpsum.errors import DomainError, EvaluationError
 from fpsum.special_functions import _mixing_density_log, mittag_leffler
-
-
-def load_make_reference():
-    path = pathlib.Path(__file__).parent / "data" / "make_reference.py"
-    spec = importlib.util.spec_from_file_location("make_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestDensity:
@@ -38,6 +28,16 @@ class TestDensity:
         for kappa, u, want in reference["mixing_near_one"]:
             got = MittagLefflerLaw(kappa).density(u)
             assert_allclose(got, want, rtol=1e-9, err_msg=f"kappa={kappa}, u={u}")
+
+    def test_seams_against_reference(self, reference):
+        # 2 % to either side of the exponent budget where the series hands
+        # the density to the stable integral; the routes agree to ~1e-12
+        rows = reference["mixing_seams"]
+        exponents = [(1 - k) * k ** (k / (1 - k)) * u ** (1 / (1 - k)) for k, u, _ in rows]
+        assert [e < _ML_SERIES_EXPONENT_BUDGET for e in exponents] == [True, False] * 4
+        for kappa, u, want in rows:
+            got = MittagLefflerLaw(kappa).density(u)
+            assert_allclose(got, want, rtol=1e-11, err_msg=f"kappa={kappa}, u={u}")
 
     def test_log_form_against_reference(self, reference):
         # the stable integral on its own, also where the density takes the
@@ -72,8 +72,7 @@ class TestDensity:
         assert abs(w @ g - 1.0) <= 1e-9
         assert abs(w @ (u * g) - mean) <= 1e-9
 
-    def test_split_oracle_reproduces_reference(self, reference):
-        make_reference = load_make_reference()
+    def test_split_oracle_reproduces_reference(self, reference, make_reference):
         rows = reference["mixing_near_one"]
         for kappa, u, want in (rows[3], rows[-1]):
             got = float(make_reference.mixing_density_split_mp(kappa, u))
