@@ -91,48 +91,45 @@ _ML_SERIES_MAX_TERMS = 700
 
 
 def _mixing_series(
-    kappa: float, u: np.ndarray
+    kappa: float, log_u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating density series; returns (values, max |term|, unconverged)
-    per point.
+    """Alternating density series at log u; returns (values, max |term|,
+    unconverged) per point.
 
-    sin(pi*k*j) vanishes whenever k*j is an integer, so convergence is only
-    declared after several consecutive small terms.  Close to kappa = 1 the
-    terms decay like j**(-(1-k)*j), and a sum may not converge within the
-    term cap even at a small argument.
+    Term j carries (-1)**(j-1) sin(pi*k*j) = sin(pi*(1-k)*j), exact as
+    kappa -> 1 and 0 where k*j is an integer, so convergence is declared
+    only after several small terms in a row.  Near kappa = 1 the terms decay
+    like j**(-(1-k)*j): a sum may not converge within the cap at small u.
     """
-    log_u = np.log(u)
 
     def terms(rows, j):
         lt = _log_gamma(kappa * j + 1.0) - _log_gamma(j + 1.0) + (j - 1) * log_u[rows, None]
-        return (-1.0) ** (j - 1) * np.sin(np.pi * kappa * j) * np.exp(lt)
+        return np.sin(np.pi * (1.0 - kappa) * j) * np.exp(lt)
 
     total, peak, unconverged = _sum_series(
-        terms, 1, np.zeros_like(u), 4, 1e-15, _ML_SERIES_MAX_TERMS - 1
+        terms, 1, np.zeros_like(log_u), 4, 1e-15, _ML_SERIES_MAX_TERMS - 1
     )
     scale = np.pi * kappa
     return total / scale, peak / scale, unconverged
 
 
-def _mixing_log_density(kappa: float, u: np.ndarray) -> np.ndarray:
-    """log g(u) of the mixing law at u > 0, kappa < 1: the alternating series
+def _mixing_log_density(kappa: float, log_u: np.ndarray) -> np.ndarray:
+    """log g(u) of the mixing law at log u, kappa < 1: the alternating series
     where its largest term cannot poison the sum, it converges within its
     term cap and its value is positive; elsewhere the one-sided stable
-    integral, whose integrand is positive, and which raises EvaluationError
-    above kappa 1 - 1e-6."""
-    out = np.empty_like(u)
-    a0 = (1.0 - kappa) * kappa ** (kappa / (1.0 - kappa))
-    with np.errstate(over="ignore"):
-        try_series = a0 * u ** (1.0 / (1.0 - kappa)) <= _ML_SERIES_EXPONENT_BUDGET
+    integral, whose integrand is positive."""
+    out = np.empty_like(log_u)
+    log_a0 = math.log(1.0 - kappa) + kappa / (1.0 - kappa) * math.log(kappa)
+    try_series = log_a0 + log_u / (1.0 - kappa) <= math.log(_ML_SERIES_EXPONENT_BUDGET)
     if try_series.any():
-        vals, peaks, unconverged = _mixing_series(kappa, u[try_series])
+        vals, peaks, unconverged = _mixing_series(kappa, log_u[try_series])
         safe = (peaks <= 4e4 * vals) & ~unconverged
         picked = np.flatnonzero(try_series)
         out[picked[safe]] = np.log(vals[safe])
         try_series[picked[~safe]] = False
     rest = ~try_series
     if rest.any():
-        out[rest] = _mixing_density_log(kappa, u[rest])
+        out[rest] = _mixing_density_log(kappa, log_u[rest])
     return out
 
 
@@ -148,8 +145,7 @@ class MittagLefflerLaw:
 
     def density(self, u):
         """Density at u > 0, the exp of ``_mixing_log_density``: ~1e-12
-        relative against the mpmath oracles.  Above kappa 1 - 1e-6 it raises
-        EvaluationError where the series does not take the argument."""
+        relative against the mpmath oracles, up to kappa 1 - 2**-53."""
         if self.kappa == 1.0:
             raise DomainError(
                 "the kappa=1 law is a point mass at 1 and has no density"
@@ -158,7 +154,7 @@ class MittagLefflerLaw:
         if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
             raise DomainError("density requires u > 0")
         with np.errstate(under="ignore"):
-            return _ret(np.exp(_mixing_log_density(self.kappa, arr)), shape)
+            return _ret(np.exp(_mixing_log_density(self.kappa, np.log(arr))), shape)
 
     def sample(self, rng: RngStream, size=None):
         """Exact draws via U = (W / A(Theta))**(1-kappa) with Theta uniform on
@@ -188,16 +184,16 @@ _NODES_HALVINGS = 46
 # toward v = 0 until they are halvings
 _NODES_CORE_WIDTH = 1.0
 _NODES_GROWTH = 2.0
-# right of v_c the panels are this wide in r = sqrt(a0 u**(1/(1-k))), the
-# variable in which log g ~ -r**2 has unit curvature
-_NODES_FLANK_WIDTH = 2.0
+# right of v_c the panels are this wide in r = sqrt(a0 u**(1/(1-k))), where
+# log g ~ -r**2; at 2 the nodes, in log v, miss the NML far tail by 2e-10
+_NODES_FLANK_WIDTH = 1.75
 
 
 @lru_cache(maxsize=32)
 def _mixing_panels(kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The level-0 panels of the mixing nodes, as (log_v, u, log w, log g(u)).
+    """The level-0 panels of the mixing nodes, as (log_v, log u, log w, log g).
 
-    16-point Gauss-Legendre panels in v = sqrt(u), laid out in log v around
+    16-point Gauss-Legendre panels in log v, v = sqrt(u), laid out around
     v_c = a0**(-(1-k)/2), where g's flank exp(-a0 u**(1/(1-k))) sets in.
     Left of v_c they are _NODES_CORE_WIDTH wide in s = log(u)/(1-k) and grow
     geometrically into halvings of v, which resolve the step of phi(y/v) at
@@ -205,9 +201,9 @@ def _mixing_panels(kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     _NODES_FLANK_WIDTH wide in r = sqrt(a0 u**(1/(1-k))), which also spans
     the integrand's peak in the far tail of the density, and they end where
     log g reaches _NODES_LOG_G_END.  log_v holds the panel edges but the
-    first panel's 0, so panel p > 0 is [exp(log_v[p-1]), exp(log_v[p])].
-    The nodes come panel by panel, and the weights are in the u-measure,
-    du = 2 v dv.  These are the only nodes at which g is evaluated.
+    first panel's 0: panel p > 0 is [log_v[p-1], log_v[p]], the first runs
+    in v.  The nodes come panel by panel with their exact log u, and the
+    weights are in the u-measure, du = 2 u d(log v).  g is evaluated there only.
     """
     c = 1.0 - kappa
     log_a0 = math.log(c) + kappa / c * math.log(kappa)
@@ -217,42 +213,43 @@ def _mixing_panels(kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     left = left[left > log_vc - _NODES_HALVINGS * math.log(2.0)]
     # log g ~ -r**2 on the flank, at u = u_c * r**(2(1-k)); widen until
     # log g at the end is below _NODES_LOG_G_END
-    u_c = math.exp(2.0 * log_vc)
     r_hi = math.sqrt(-_NODES_LOG_G_END)
-    while _mixing_log_density(kappa, np.array([u_c * r_hi ** (2.0 * c)]))[0] > _NODES_LOG_G_END:
+    while (_mixing_log_density(kappa, np.array([2.0 * (log_vc + c * math.log(r_hi))]))[0]
+           > _NODES_LOG_G_END):
         r_hi += _NODES_FLANK_WIDTH
     r = np.arange(1.0, r_hi + _NODES_FLANK_WIDTH, _NODES_FLANK_WIDTH)
     log_v = np.concatenate((left[::-1], log_vc + c * np.log(r)))
-    edges = np.concatenate(([0.0], np.exp(log_v)))
-    v, w = _gl_panels(edges[:-1], edges[1:], 16)
-    u = v * v
-    return log_v, u, np.log(2.0 * v * w), _mixing_log_density(kappa, u)
+    v, w0 = _gl_panels(np.zeros(1), np.exp(log_v[:1]), 16)
+    lv, w = _gl_panels(log_v[:-1], log_v[1:], 16)
+    log_u = 2.0 * np.append(np.log(v), lv)
+    log_w = np.append(np.log(2.0 * v * w0), np.log(2.0 * w) + 2.0 * lv)
+    return log_v, log_u, log_w, _mixing_log_density(kappa, log_u)
 
 
 def _refined_nodes(
     kappa: float, level: int, panels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (u, log w, log g(u)) of the level-0 panels numbered ``panels``
+    """Nodes (log u, log w, log g) of the level-0 panels numbered ``panels``
     (ascending), each but the first cut into 2**level equal parts in log v.
 
     The first panel, [0, v_c * 2**-46], is never cut and keeps its nodes.
     At a new node, log g is the barycentric interpolant of its level-0
-    panel's 16 values of log g, in v, with the Gauss-Legendre points'
-    barycentric weights (-1)**j sqrt((1 - x_j**2) w_j) (Wang, Huybrechs &
-    Vandewalle 2014): no density integral is taken here.
+    panel's 16 values, with the Gauss-Legendre weights (-1)**j sqrt((1 -
+    x_j**2) w_j) (Wang, Huybrechs & Vandewalle 2014), taken in v, where g is
+    near a power series in v**2 (alternating weights leave no pole, Berrut
+    1988): 4e-13 at kappa 0.9, against 5.6e-13 in log v.  No integral here.
     """
-    log_v, u0, log_w0, log_g0 = _mixing_panels(kappa)
+    log_v, log_u0, log_w0, log_g0 = _mixing_panels(kappa)
     parts = 2**level
     cut = panels[panels > 0]
     # the edges of cutting every panel, np.interp at m / parts
     m = ((cut - 1)[:, None] * parts + np.arange(parts + 1)).ravel()
-    sub = np.exp(np.interp(m / parts, np.arange(log_v.size), log_v)).reshape(cut.size, parts + 1)
-    v, w = _gl_panels(sub[:, :-1].ravel(), sub[:, 1:].ravel(), 16)
-    # each new node in its level-0 panel's coordinate t in [-1, 1]
-    mid, half = (sub[:, 0] + sub[:, -1]) / 2.0, (sub[:, -1] - sub[:, 0]) / 2.0
-    t = (v.reshape(cut.size, parts * 16) - mid[:, None]) / half[:, None]
+    sub = np.interp(m / parts, np.arange(log_v.size), log_v).reshape(cut.size, parts + 1)
+    lv, w = _gl_panels(sub[:, :-1].ravel(), sub[:, 1:].ravel(), 16)
+    # v - v_j at each level-0 point v_j, through log v to keep its precision
+    lv0 = log_u0.reshape(-1, 16)[cut] / 2.0
+    diff = np.exp(lv0)[:, None, :] * np.expm1(lv.reshape(cut.size, -1, 1) - lv0[:, None, :])
     xg, wg = _legendre(16)
-    diff = t[:, :, None] - xg
     hit = diff == 0.0
     # at a level-0 point, all the weight is on it
     ratio = np.where(
@@ -261,15 +258,15 @@ def _refined_nodes(
         (-1.0) ** np.arange(16) * np.sqrt((1.0 - xg * xg) * wg) / np.where(hit, 1.0, diff),
     )
     log_g = np.einsum("pnj,pj->pn", ratio, log_g0.reshape(-1, 16)[cut]) / ratio.sum(axis=2)
-    u, log_w, log_g = v * v, np.log(2.0 * v * w), log_g.ravel()
+    log_u, log_w, log_g = 2.0 * lv, np.log(2.0 * w) + 2.0 * lv, log_g.ravel()
     if panels.size and panels[0] == 0:
-        return (np.concatenate((u0[:16], u)), np.concatenate((log_w0[:16], log_w)),
+        return (np.concatenate((log_u0[:16], log_u)), np.concatenate((log_w0[:16], log_w)),
                 np.concatenate((log_g0[:16], log_g)))
-    return u, log_w, log_g
+    return log_u, log_w, log_g
 
 
 def _mixing_nodes(kappa: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of int h(u) g(u) du against the mixing density, as (u, log(w g(u))).
+    """Nodes of int h(u) g(u) du against the mixing density, as (log u, log(w g(u))).
 
     Level 0 is the panels of ``_mixing_panels``, the only nodes at which g is
     evaluated; it serves the NML density.  At level > 0 every panel but the
@@ -277,10 +274,10 @@ def _mixing_nodes(kappa: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     (``_refined_nodes``).  The FP pmf refines, for the Poisson kernel, which
     is ~1/sqrt(n) wide in log u, only the panels that hold its integrand.
     """
-    log_v, u, log_w, log_g = _mixing_panels(kappa)
+    log_v, log_u, log_w, log_g = _mixing_panels(kappa)
     if level > 0:
-        u, log_w, log_g = _refined_nodes(kappa, level, np.arange(log_v.size))
-    return u, log_w + log_g
+        log_u, log_w, log_g = _refined_nodes(kappa, level, np.arange(log_v.size))
+    return log_u, log_w + log_g
 
 
 def _exponents(x: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -381,16 +378,17 @@ def _fp_pmf_mixture(nu: float, kappa: float, n: np.ndarray) -> np.ndarray:
     """Integral of Poisson(n; nu*u) against the mixing density.  The counts
     of each level of ``_fp_mixture_level`` form one block, which sums over
     its window of level-0 panels (``_fp_window``) refined to that level."""
-    u0, log_wg0 = _mixing_nodes(kappa, 0)
-    a0, b0 = np.log(nu * u0), log_wg0 - nu * u0
+    log_nu = math.log(nu)
+    log_u0, log_wg0 = _mixing_nodes(kappa, 0)
+    a0, b0 = log_nu + log_u0, log_wg0 - nu * np.exp(log_u0)
     levels = _fp_mixture_level(n)
     log_p = np.empty(n.shape)
     # not np.unique, whose first call imports numpy.ma (~14 ms)
     for level in sorted(set(levels.tolist())):
         rows = levels == level
         panels = _fp_window(n[rows], a0, b0)
-        u, log_w, log_g = _refined_nodes(kappa, level, panels)
-        log_p[rows] = _log_sum_exp(n[rows], np.log(nu * u), log_w + log_g - nu * u)
+        log_u, log_w, log_g = _refined_nodes(kappa, level, panels)
+        log_p[rows] = _log_sum_exp(n[rows], log_nu + log_u, log_w + log_g - nu * np.exp(log_u))
     with np.errstate(under="ignore"):
         return np.exp(log_p - _log_gamma(n + 1.0))
 
@@ -420,8 +418,7 @@ class FractionalPoissonLaw:
                        0.999, and within 1e-12 + a few eps*n*log(n) at n in
                        the thousands, where rounding sets that floor.  A
                        table costs its length times its window of panels,
-                       not times every panel.  Above kappa 1 - 1e-6 it
-                       raises EvaluationError;
+                       not times every panel;
             "mixture"  a second name for "auto";
             "series"   the alternating series, an independent route.  It
                        raises EvaluationError, pointing at the mixture, when
@@ -490,9 +487,10 @@ def _nml_standard_density(kappa: float, y: np.ndarray) -> np.ndarray:
         y2 = y * y
     if kappa == 1.0:
         return np.exp(-0.5 * y2) / math.sqrt(_TWO_PI)
-    u, log_wg = _mixing_nodes(kappa, 0)
+    log_u, log_wg = _mixing_nodes(kappa, 0)
     with np.errstate(under="ignore"):
-        return np.exp(_log_sum_exp(y2, -0.5 / u, log_wg - 0.5 * np.log(_TWO_PI * u)))
+        return np.exp(_log_sum_exp(y2, -0.5 * np.exp(-log_u),
+                                   log_wg - 0.5 * (math.log(_TWO_PI) + log_u)))
 
 
 @dataclass(frozen=True)
@@ -527,8 +525,7 @@ class NmlLaw:
         on |y|, and 0 only where the value underflows.  Against the mpmath
         oracles it is good to ~1e-13 relative in the body, up to kappa 0.999,
         and to ~1e-12 in log f in the far tail.  At kappa = 1 it is the
-        normal density.  Above kappa 1 - 1e-6 the mixing density is
-        unresolved in double precision and it raises EvaluationError.
+        normal density.
         """
         arr, shape = _as_array(x)
         z = (arr - self.mu) / self.sigma

@@ -48,11 +48,15 @@ independent of the library's own evaluation paths:
 * ``mixing_seams`` -- the mixing density on both sides of the exponent
                    budget where the library leaves its series for the
                    stable integral, by ``mixing_density_split_mp``.
+* ``near_one_tight`` -- the mixing density at 1 - k = 1e-7 and 1e-9, in and
+                   next to its spike by the split integral and at u 0.1 to
+                   0.9 by the series, with kappa and u read as exact binary
+                   values, not their decimal repr.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
-      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long mixing_seams
+      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long mixing_seams near_one_tight
       (recomputes only those sections of ``SECTIONS`` and keeps the others
-      as they are; CI checks that these five reproduce the frozen file).
+      as they are; CI checks that these six reproduce the frozen file).
       ``ml_seams`` and ``mixing_seams`` read the seams from the library's
       constants, so fpsum must be importable (installed, or
       ``PYTHONPATH=src``).
@@ -65,6 +69,14 @@ import pathlib
 import sys
 
 import mpmath as mp
+
+
+def _read(x):
+    """x as an mpf: a float by its shortest decimal repr, as the older
+    sections were made, and an mpf as it is, which lets a caller pass the
+    exact binary value of a double (mp.mpf(x)).  Near kappa 1 the decimal
+    misstates 1 - k: that of 1 - 1e-9 by 2.8e-8 relative."""
+    return x if isinstance(x, mp.mpf) else mp.mpf(repr(x))
 
 
 def ml_series_mp(kappa, z, rel_dps=25):
@@ -143,8 +155,8 @@ def mixing_density_mp(kappa, u, dps=30):
         raise RuntimeError(f"mixing oracle infeasible at kappa={kappa}, u={u}")
     guard = int(0.9 * a0 * stretch) + 60
     with mp.workdps(dps + guard):
-        k = mp.mpf(repr(kappa))
-        uu = mp.mpf(repr(u))
+        k = _read(kappa)
+        uu = _read(u)
         s = mp.mpf(0)
         j = 1
         small = 0
@@ -333,11 +345,11 @@ def mixing_density_split_mp(kappa, u, dps=20):
     > 0; the cost does not grow with u**(1/(1-k)) as the series' does.
     """
     with mp.workdps(30):
-        k = mp.mpf(repr(kappa))
-        z0 = mp.mpf(repr(u)) ** (1 / (1 - k)) * (1 - k) * k ** (k / (1 - k))
+        k = _read(kappa)
+        z0 = _read(u) ** (1 / (1 - k)) * (1 - k) * k ** (k / (1 - k))
     with mp.workdps(dps + 10 + max(0, int(mp.log10(z0)))):
-        k = mp.mpf(repr(kappa))
-        uu = mp.mpf(repr(u))
+        k = _read(kappa)
+        uu = _read(u)
         c = 1 - k
         log_y = mp.log(uu) / c
         z0 = mp.exp(log_y) * c * k ** (k / c)
@@ -356,9 +368,16 @@ def mixing_density_split_mp(kappa, u, dps=20):
             edges.append((lo + hi) / 2)
         edges.append(mp.pi)
 
+        log_cut = mp.log(z0 + 10000)
+
         def integrand(theta):
             log_a = kanter_log_mp(k, theta)
-            return mp.exp(log_a - mp.exp(log_y + log_a))
+            log_z = log_y + log_a
+            # past z = z0 + 1e4 the integrand z exp(-z) / y is below ~e^-9990
+            # of its peak, and mp.exp(-z) would take ln 2 to ~log2(z) bits
+            if log_z > log_cut:
+                return mp.mpf(0)
+            return mp.exp(log_a - mp.exp(log_z))
 
         total = gl_adaptive_mp(integrand, edges, mp.mpf(10) ** -(dps - 2))
         return uu ** (k / c) / (mp.pi * c) * total
@@ -422,6 +441,24 @@ def mixing_near_one_section():
             val = float(mixing_density_split_mp(kap, u))
             if val >= sys.float_info.min:
                 rows.append([kap, u, val])
+    return rows
+
+
+def mixing_near_one_tight_section():
+    """[kappa, u, g(u)] rows at 1 - k = 1e-7 and 1e-9, with kappa and u read
+    as their exact binary values (``_read``): the split integral at u = 1,
+    1 -+ 3(1-k) and the mean, inside the spike, whose right flank falls
+    like exp(-u**(1/(1-k))), and at u = 0.999 and 0.9999 on its left flank;
+    the series at 50 digits at u = 0.1, 0.5 and 0.9.  log A ~ 1/(1-k) ~ 1e9
+    costs the split integral 9 of its 30 working digits."""
+    rows = []
+    for kap in [1.0 - 1e-7, 1.0 - 1e-9]:
+        c = 1.0 - kap
+        mean = 1.0 / math.gamma(1.0 + kap)
+        for u in [1.0 - 3.0 * c, 1.0, 1.0 + 3.0 * c, mean, 0.999, 0.9999]:
+            rows.append([kap, u, float(mixing_density_split_mp(mp.mpf(kap), mp.mpf(u)))])
+        for u in [0.1, 0.5, 0.9]:
+            rows.append([kap, u, float(mixing_density_mp(mp.mpf(kap), mp.mpf(u), dps=50))])
     return rows
 
 
@@ -670,6 +707,7 @@ SECTIONS = {
     "ml_seams": ml_seams_section,
     "fp_pmf_long": fp_pmf_long_section,
     "mixing_seams": mixing_seams_section,
+    "near_one_tight": mixing_near_one_tight_section,
 }
 
 

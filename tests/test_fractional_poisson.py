@@ -9,6 +9,7 @@ from fpsum.distributions import (
     RngStream,
     _fp_mixture_level,
     _fp_pmf_mixture,
+    _fp_window,
     _log_sum_exp,
     _mixing_log_density,
     _mixing_nodes,
@@ -85,9 +86,10 @@ class TestPmf:
         n = np.arange(n_max + 1.0)
         got = _fp_pmf_mixture(nu, kappa, n)
         panels = np.arange(_mixing_panels(kappa)[0].size)
-        u, log_w, _ = _refined_nodes(kappa, int(_fp_mixture_level(n_max)) + 2, panels)
-        log_wg = log_w + _mixing_log_density(kappa, u)
-        fine = np.exp(_log_sum_exp(n, np.log(nu * u), log_wg - nu * u) - _log_gamma(n + 1.0))
+        log_u, log_w, _ = _refined_nodes(kappa, int(_fp_mixture_level(n_max)) + 2, panels)
+        log_wg = log_w + _mixing_log_density(kappa, log_u)
+        fine = np.exp(_log_sum_exp(n, np.log(nu) + log_u, log_wg - nu * np.exp(log_u))
+                      - _log_gamma(n + 1.0))
         assert_allclose(got, fine, rtol=1e-11)
 
     @pytest.mark.parametrize(
@@ -97,20 +99,34 @@ class TestPmf:
     )
     def test_windows_drop_nothing(self, nu, kappa, n_max):
         # each level block sums over its window of panels only; summing over
-        # every refined node gives the same, out to counts deep in g's flank
+        # every refined node gives the same, out to counts deep in g's flank.
+        # Both sums shift each row by its largest exponent, ~n log(nu u),
+        # and round log p to its ulp: past a shift of 1024 that is 2**-42
+        # relative in p, above 1e-13 alone
         n = np.arange(n_max + 1.0)
         levels = _fp_mixture_level(n)
         assert np.unique(levels).size >= 3
         want = np.empty(n.shape)
         for level in np.unique(levels):
             rows = levels == level
-            u, log_wg = _mixing_nodes(kappa, int(level))
-            want[rows] = _log_sum_exp(n[rows], np.log(nu * u), log_wg - nu * u)
+            log_u, log_wg = _mixing_nodes(kappa, int(level))
+            want[rows] = _log_sum_exp(n[rows], np.log(nu) + log_u, log_wg - nu * np.exp(log_u))
+        rtol = 1e-13 + 4.0 * np.spacing(np.abs(want))
         want -= _log_gamma(n + 1.0)
         got = _fp_pmf_mixture(nu, kappa, n)
         normal = want > -700.0
-        assert_allclose(got[normal], np.exp(want[normal]), rtol=1e-13)
+        assert np.all(np.abs(got - np.exp(want))[normal] <= (rtol * np.exp(want))[normal])
         assert np.all(got[~normal] < 1e-300)
+
+    def test_window_takes_a_panel_on_each_side(self):
+        # a peak narrower than the level-0 node spacing can lie past the edge
+        # of the panel that holds its largest node; at the counts above that
+        # needs n in the millions, so the widening is checked on its own
+        a, b = np.zeros(5 * 16), np.full(5 * 16, -1000.0)
+        b[2 * 16 + 15] = 0.0
+        assert np.array_equal(_fp_window(np.array([1.0]), a, b), [1, 2, 3])
+        b[15], b[2 * 16 + 15] = 0.0, -1000.0
+        assert np.array_equal(_fp_window(np.array([1.0]), a, b), [0, 1])
 
     def test_count_does_not_depend_on_the_table(self):
         law = FractionalPoissonLaw(100.0, 0.5)
@@ -132,12 +148,22 @@ class TestPmf:
         assert abs(total - 1.0) <= 1e-12
 
     def test_mixture_kappa_limit(self):
-        # above kappa 1 - 1e-6 the mixing density is unresolved: the mixture
-        # raises, and only the series answers
+        # the mixture answers up to kappa 1 - 2**-53, and meets the series
         law = FractionalPoissonLaw(2.0, 1.0 - 1e-7)
-        with pytest.raises(EvaluationError):
-            law.pmf(3)
-        assert_allclose(law.pmf(3, branch="series"), poisson_pmf(3, 2.0), rtol=1e-5)
+        assert_allclose(law.pmf(3), law.pmf(3, branch="series"), rtol=1e-13)
+        assert_allclose(law.pmf(3), poisson_pmf(3, 2.0), rtol=1e-5)
+
+    @pytest.mark.parametrize("kappa", [1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0**-53])
+    def test_tables_near_one(self, kappa):
+        # the mixing density is a spike ~sqrt(1-k) wide, with a right flank
+        # ~(1-k) wide: no mass may go missing, and the series agrees
+        n = np.arange(60)
+        for nu in (2.0, 5.0):
+            pmf = FractionalPoissonLaw(nu, kappa).pmf(n)
+            assert np.all(np.isfinite(pmf) & (pmf >= 0.0))
+            assert abs(pmf.sum() - 1.0) <= 1e-12, f"nu={nu}"
+        law = FractionalPoissonLaw(2.0, kappa)
+        assert_allclose(law.pmf(n), law.pmf(n, branch="series"), rtol=1e-11)
 
     def test_series_branch_failure_points_at_mixture(self):
         law = FractionalPoissonLaw(20.0, 0.3)
@@ -174,9 +200,9 @@ class TestRefinedNodes:
         # of its maximum
         panels = np.arange(_mixing_panels(kappa)[0].size)
         for level in range(1, 6):
-            u, _, log_g = _refined_nodes(kappa, level, panels)
+            log_u, _, log_g = _refined_nodes(kappa, level, panels)
             near = log_g >= log_g.max() - 61.0
-            direct = _mixing_log_density(kappa, u[near])
+            direct = _mixing_log_density(kappa, log_u[near])
             keep = direct >= direct.max() - 60.0
             err = np.abs(log_g[near] - direct)[keep].max()
             assert err <= atol, f"level {level}: {err:.3g}"
@@ -186,9 +212,9 @@ class TestRefinedNodes:
         # cut into one part, each panel gives back its own nodes, 12-17 % of
         # them exactly on a level-0 point, where the interpolant must take
         # the value there rather than divide by zero
-        log_v, u0, log_w0, log_g0 = _mixing_panels(kappa)
-        u, log_w, log_g = _refined_nodes(kappa, 0, np.arange(log_v.size))
-        assert np.array_equal(u, u0) and np.array_equal(log_w, log_w0)
+        log_v, log_u0, log_w0, log_g0 = _mixing_panels(kappa)
+        log_u, log_w, log_g = _refined_nodes(kappa, 0, np.arange(log_v.size))
+        assert np.array_equal(log_u, log_u0) and np.array_equal(log_w, log_w0)
         assert_allclose(log_g, log_g0, rtol=0.0, atol=5e-12)
 
 

@@ -5,7 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gamma, roots_legendre
 
-from fpsum.distributions import _ML_SERIES_EXPONENT_BUDGET, MittagLefflerLaw, RngStream
+from fpsum.distributions import (
+    _ML_SERIES_EXPONENT_BUDGET,
+    MittagLefflerLaw,
+    RngStream,
+    _mixing_nodes,
+)
 from fpsum.errors import DomainError, EvaluationError
 from fpsum.special_functions import _mixing_density_log, mittag_leffler
 
@@ -44,7 +49,7 @@ class TestDensity:
         # series, as at small u near kappa 1
         rows = reference["mixing"] + reference["mixing_high_kappa"] + reference["mixing_near_one"]
         for kappa, u, want in rows:
-            got = _mixing_density_log(kappa, np.array([u]))[0]
+            got = _mixing_density_log(kappa, np.log([u]))[0]
             assert_allclose(got, np.log(want), rtol=0, atol=1e-9, err_msg=f"kappa={kappa}, u={u}")
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.01])
@@ -53,7 +58,7 @@ class TestDensity:
         # can span most of (0, pi); the series is exact at these u
         u = np.array([0.5, 1.0, 2.0])
         assert_allclose(
-            np.exp(_mixing_density_log(kappa, u)), MittagLefflerLaw(kappa).density(u), rtol=1e-12
+            np.exp(_mixing_density_log(kappa, np.log(u))), MittagLefflerLaw(kappa).density(u), rtol=1e-12
         )
 
     @pytest.mark.parametrize("kappa", [0.99, 0.995, 0.999])
@@ -80,12 +85,44 @@ class TestDensity:
 
     def test_unresolved_arguments_raise(self):
         # the spike of the stable integral moves to within 1e-300 of pi as
-        # u -> 0, and past kappa 1 - 1e-6 double precision cannot place it
+        # u -> 0; near kappa 1 it stays resolved
         with pytest.raises(EvaluationError):
-            _mixing_density_log(0.5, np.array([1e-305]))
-        with pytest.raises(EvaluationError):
-            MittagLefflerLaw(1.0 - 1e-7).density(1.0)
-        assert np.isfinite(_mixing_density_log(1.0 - 1e-6, np.array([1.0])))
+            _mixing_density_log(0.5, np.log([1e-305]))
+        for kappa in (1.0 - 1e-6, 1.0 - 1e-7, 1.0 - 2.0**-53):
+            assert np.isfinite(_mixing_density_log(kappa, np.log([1.0])))
+            assert MittagLefflerLaw(kappa).density(1.0) > 0.0
+
+    def test_tight_near_one_against_reference(self, reference):
+        # at 1 - k = 1e-7 and 1e-9, against an oracle that reads kappa and u
+        # as the doubles the library is given.  On the spike's left flank,
+        # u 0.999 and 0.9999, the stable integral divides log u + V by 1 - k
+        # where V ~ -log u is rounded to its relative precision: a floor of
+        # eps |log u| / (1 - k), 2.2e-10 at 1 - k = 1e-9 and u = 0.999
+        for kappa, u, want in reference["near_one_tight"]:
+            rtol = 1e-12
+            if u in (0.999, 0.9999):
+                rtol += np.finfo(float).eps * abs(math.log(u)) / (1.0 - kappa)
+            got = MittagLefflerLaw(kappa).density(u)
+            assert_allclose(got, want, rtol=rtol, err_msg=f"kappa={kappa}, u={u}")
+
+    def test_log_form_meets_series_near_one(self):
+        # the stable integral alone, at a point the series answers, within
+        # the rounding floor of the left flank (6.5 % low before V)
+        kappa, u = 1.0 - 1e-6, np.array([0.5])
+        rtol = 1e-12 + np.finfo(float).eps * abs(math.log(0.5)) / (1.0 - kappa)
+        assert_allclose(
+            np.exp(_mixing_density_log(kappa, np.log(u))), MittagLefflerLaw(kappa).density(u),
+            rtol=rtol,
+        )
+
+    @pytest.mark.parametrize("kappa", [1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0**-53])
+    def test_level_zero_mass_and_mean_near_one(self, kappa):
+        # the quadrature nodes of the NML density and the FP pmf hold the
+        # spike: its mass and mean, within ~1e-8 of u = 1
+        log_u, log_wg = _mixing_nodes(kappa, 0)
+        wg = np.exp(log_wg)
+        assert abs(wg.sum() - 1.0) <= 1e-13
+        assert abs(np.exp(log_u) @ wg * gamma(1.0 + kappa) - 1.0) <= 1e-13
 
     def test_far_tail_bound(self):
         val = MittagLefflerLaw(0.9).density(1e6)

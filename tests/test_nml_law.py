@@ -5,7 +5,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import kolmogi, roots_legendre
 
 from fpsum.distributions import NmlLaw, RngStream
-from fpsum.errors import DomainError, EvaluationError
+from fpsum.errors import DomainError
 from fpsum.special_functions import mittag_leffler
 
 
@@ -61,13 +61,11 @@ class TestDensity:
                 assert_allclose(got, want, rtol=1e-9, err_msg=f"kappa={kappa}, y={y}")
 
     def test_kappa_limit(self):
-        # up to 1 - 1e-6 the mixture holds its center; past it the mixing
-        # density's stable integral is unresolved and the density raises
-        assert_allclose(
-            NmlLaw(0.0, 1.0, 1.0 - 1e-6).density(0.0), center_height(1.0 - 1e-6), rtol=1e-9
-        )
-        with pytest.raises(EvaluationError):
-            NmlLaw(0.0, 1.0, 1.0 - 1e-7).density(0.0)
+        # the mixture holds its center up to kappa 1 - 2**-53, where the
+        # mixing density is a spike ~1e-8 wide
+        for kappa in (1.0 - 1e-6, 1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0**-53):
+            got = NmlLaw(0.0, 1.0, kappa).density(0.0)
+            assert_allclose(got, center_height(kappa), rtol=1e-12, err_msg=f"kappa={kappa}")
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.5, 0.9, 0.99, 0.995, 0.999, 0.9999])
     def test_far_tail_is_a_density(self, kappa):

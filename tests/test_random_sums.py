@@ -138,6 +138,16 @@ class TestNmlCdf:
         want = np.array([mixture_cdf(v) for v in y])
         assert np.max(np.abs(nml_cdf(0.5, y) - want)) <= 1e-7
 
+    @pytest.mark.parametrize("kappa", [1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0**-53])
+    def test_near_one(self, kappa):
+        # the mixing law is a spike at u = 1 there, so the cdf is the normal
+        # one up to its table's 1e-7, and an fp sweep toward it answers
+        y = np.linspace(-8.0, 8.0, 401)
+        assert np.max(np.abs(nml_cdf(kappa, y) - ndtr(y))) <= 2e-7
+        report = convergence_sweep("fp", (10.0, 100.0), SummandSpec(), 2000, RngStream(3),
+                                   kappa=kappa)
+        assert all(0.0 < d < 0.1 for d in report.distances)
+
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.5, 0.8, 0.9, 1.0])
     def test_shape(self, kappa):
         y = np.sort(np.random.default_rng(6).uniform(-15.0, 15.0, 100_000))
