@@ -2,7 +2,8 @@
 
 The estimator matches the first, second, and fourth sample moments.  With
 h(k) = Gamma(k+1)^2 / Gamma(2k+1), which decreases strictly from 1 to 1/2 on
-(0, 1], the solution is closed-form up to the monotone inversion of h:
+(0, 1], the solution is closed-form up to the monotone inversion of h,
+one Newton iteration on sqrt(-log h) that needs no bracket:
 
     mu_hat     = M1
     omega      = (M4 - 6 M1^2 M2 + 5 M1^4) / (6 (M2 - M1^2)^2)
@@ -58,9 +59,13 @@ __all__ = [
 ]
 
 KAPPA_FLOOR = 1e-6
-_BISECTION_WIDTH = 1e-6
-_NEWTON_TOL = 1e-12
 _NEWTON_STEPS = 100
+# q(k) = sqrt(-log h(k)) rises from q(0) = 0 with slope sqrt(zeta(2)) =
+# pi/sqrt(6) and is concave on (0, 1] (q' falls from 1.28 to 0.60).  So
+# k0 = t / q'(0) lies left of the root of q(k) = t, and from there each
+# Newton tangent lies above q and lands short of the root: the iterates
+# rise monotonically to it and never leave (0, root].
+_Q_SLOPE_AT_ZERO = math.pi / math.sqrt(6.0)
 
 
 class BoundaryFlag(str, enum.Enum):
@@ -205,27 +210,25 @@ def _h_prime(kappa, h_value):
 
 def h(kappa):
     """h(k) = Gamma(k+1)^2 / Gamma(2k+1), strictly decreasing on (0, 1]."""
-    arr = np.asarray(kappa, dtype=float)
-    if np.any(arr <= 0) or np.any(arr > 1):
-        raise DomainError("h requires kappa in (0, 1]")
-    return _as_float(_h(arr))
+    return _as_float(_h(_check_kappas(kappa)))
 
 
 def h_prime(kappa):
     """Derivative of h, equal to 2 h(k) [psi(k+1) - psi(2k+1)]; negative."""
-    arr = np.asarray(kappa, dtype=float)
-    if np.any(arr <= 0) or np.any(arr > 1):
-        raise DomainError("h_prime requires kappa in (0, 1]")
-    return _as_float(_h_prime(arr, _h(arr)))
+    kappa = _check_kappas(kappa)
+    return _as_float(_h_prime(kappa, _h(kappa)))
 
 
 def _invert_h(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve h(kappa) = omega elementwise on a 1-d array; returns kappa and
     integer flag codes.
 
-    Every interior element is bisected on [KAPPA_FLOOR, 1] until its bracket
-    is narrower than 1e-6, then Newton-polished until |h - omega| <= 1e-12
-    or a step would leave [KAPPA_FLOOR, 1].  Each element stops on its own.
+    Newton's method on q(k) = sqrt(-log h(k)) = t, t = sqrt(-log omega),
+    from k = t / q'(0), left of the root, climbs to it without a bracket
+    (see _Q_SLOPE_AT_ZERO).  Each element stops on its own, once its step
+    is not positive or within 4 eps of kappa.  The rounding of -log h,
+    ~eps absolute against ~(pi^2/6) k^2, leaves ~eps/kappa^2 relative
+    near the floor; a root below KAPPA_FLOOR returns KAPPA_FLOOR.
     """
     if not np.all(np.isfinite(omega)):
         raise DomainError("omega must be finite")
@@ -236,42 +239,32 @@ def _invert_h(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes[low] = _CLAMPED_LOW
     kappa[low] = KAPPA_FLOOR
     interior = np.flatnonzero((omega > 0.5) & (omega < 1.0))
-    target = omega[interior]
-    lo = np.full(target.shape, KAPPA_FLOOR)
-    hi = np.ones_like(target)
-    active = np.arange(target.size)
-    while True:
-        active = active[hi[active] - lo[active] > _BISECTION_WIDTH]
-        if not active.size:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        above = _h(mid) > target[active]
-        lo[active[above]] = mid[above]
-        hi[active[~above]] = mid[~above]
-    root = 0.5 * (lo + hi)
+    target = np.sqrt(-np.log(omega[interior]))
+    root = target / _Q_SLOPE_AT_ZERO
     active = np.arange(target.size)
     for _ in range(_NEWTON_STEPS):
-        value = _h(root[active])
-        resid = value - target[active]
-        keep = np.abs(resid) > _NEWTON_TOL
-        active, resid, value = active[keep], resid[keep], value[keep]
+        k = root[active]
+        # q^2 may round below 0 near k = 0; q = 0 then stops the row
+        q = np.sqrt(np.maximum(_log_gamma(2.0 * k + 1.0) - 2.0 * _log_gamma(k + 1.0), 0.0))
+        step = (target[active] - q) * q / (_digamma(2.0 * k + 1.0) - _digamma(k + 1.0))
+        root[active] = k + np.maximum(step, 0.0)
+        active = active[step > 4.0 * np.finfo(float).eps * k]
         if not active.size:
             break
-        nxt = root[active] - resid / _h_prime(root[active], value)
-        inside = (KAPPA_FLOOR <= nxt) & (nxt <= 1.0)
-        active = active[inside]
-        root[active] = nxt[inside]
     kappa[interior] = np.clip(root, KAPPA_FLOOR, 1.0)
     return kappa, codes
 
 
 def h_inverse(omega):
-    """Invert h by bisection plus Newton polish.
+    """Invert h by a monotone Newton iteration on sqrt(-log h).
 
     omega in [1/2, 1) has an interior solution; values outside are clamped to
-    the nearest kappa boundary and flagged, never silently.  A scalar omega
-    gives (kappa, BoundaryFlag); an array gives an array of kappa and an
-    object array of flags, both of its shape.
+    the nearest kappa boundary and flagged, never silently.  An interior
+    kappa is within 1e-13 + 1e-15/kappa^2 (relative) of the exact root for
+    the given double omega, and a root below KAPPA_FLOOR gives KAPPA_FLOOR,
+    still flagged interior.  A scalar omega gives (kappa, BoundaryFlag); an
+    array gives an array of kappa and an object array of flags, both of its
+    shape.
     """
     arr = np.asarray(omega, dtype=float)
     kappa, codes = _invert_h(arr.ravel())

@@ -24,7 +24,7 @@ from numpy.polynomial import chebyshev
 from .distributions import CompLaw, FractionalPoissonLaw, NmlLaw, RngStream
 from .errors import DomainError
 from .estimation import BoundaryFlag, MomentSummary, mm_fit_many
-from .special_functions import _check_kappa
+from .special_functions import _check_kappa, _check_kappas
 
 __all__ = [
     "SummandSpec",
@@ -222,6 +222,8 @@ def convergence_sweep(
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise DomainError("parameter grid must be nonempty")
+    if draws_per_point < 1:
+        raise DomainError("draws per point must be >= 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("parameter grid must be strictly increasing")
     if kind == "fp":
@@ -276,8 +278,7 @@ class McExperimentConfig:
             raise DomainError("replications must be >= 1")
         if any(n < 2 for n in self.sample_sizes):
             raise DomainError("sample sizes must be >= 2")
-        if any(not 0 < k <= 1 for k in self.kappa_grid):
-            raise DomainError("kappa grid must lie in (0, 1]")
+        _check_kappas(self.kappa_grid)
 
 
 @dataclass(frozen=True)

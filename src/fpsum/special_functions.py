@@ -155,7 +155,7 @@ def _reciprocal_gamma(t: np.ndarray) -> np.ndarray:
 _SERIES_BLOCK = 32
 
 
-def _sum_series(terms, first, total, runs, tol, max_terms, stop_nonfinite=False):
+def _sum_series(terms, first, total, runs, tol, max_terms):
     """Sum one series per row of a 1-d array; returns (total, peak, unconverged).
 
     ``terms(rows, j)`` gives the terms of the 1-d indices ``j`` for the rows
@@ -165,10 +165,9 @@ def _sum_series(terms, first, total, runs, tol, max_terms, stop_nonfinite=False)
     and cumsummed, a left fold that rounds every partial sum as a
     term-by-term loop would.  A row stops after ``runs`` consecutive terms
     with |term| <= tol * max(|partial|, 1e-300) (the floor keeps a partial
-    sum passing through zero from ending the sum), or, with
-    ``stop_nonfinite``, at its first non-finite partial sum.  ``peak`` is the
-    largest |term| up to the stop; ``unconverged`` marks the rows still
-    running after ``max_terms`` terms.
+    sum passing through zero from ending the sum).  ``peak`` is the largest
+    |term| up to the stop; ``unconverged`` marks the rows still running
+    after ``max_terms`` terms.
     """
     total = np.array(total, dtype=float)
     peak = np.zeros_like(total)
@@ -188,8 +187,6 @@ def _sum_series(terms, first, total, runs, tol, max_terms, stop_nonfinite=False)
         last_big = np.maximum.accumulate(np.where(small, -1, pos), axis=1)
         run = np.where(last_big < 0, count[active, None] + pos + 1, pos - last_big)
         done = run >= runs
-        if stop_nonfinite:
-            done |= ~np.isfinite(partial)
         stopped = done.any(axis=1)
         stop = np.where(stopped, done.argmax(axis=1), j.size - 1)
         rows = np.arange(active.size)
@@ -217,10 +214,13 @@ def _gl_panels(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, 
 
 
 def _series_many(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Power series for an array of arguments; returns (values, failed mask).
+    """Power series for an array of arguments in the series region;
+    returns (values, failed mask).
 
-    Terms are formed in log space, so large intermediate terms overflow to
-    inf (propagated to the result) rather than poisoning neighbours.
+    The terms are formed in log space.  The region has X = |z|**(1/k) < 15,
+    where each term X**(k m) / Gamma(k m + 1) is below e**X < 3.3e6 (the
+    largest X**t / Gamma(t + 1) over t >= 0), so 500 terms sum to < 2e9:
+    no term or partial sum overflows, here or in ``_series_one``.
     """
     logabs = np.log(np.abs(z), out=np.full_like(z, -np.inf), where=z != 0)
     sign = np.sign(z)
@@ -231,9 +231,7 @@ def _series_many(kappa: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 m * logabs[rows, None] - _log_gamma(kappa * m + 1.0)
             )
 
-    out, _, active = _sum_series(
-        terms, 1, np.ones_like(z), 2, _ML_SERIES_TOL, _ML_MAX_TERMS, stop_nonfinite=True
-    )
+    out, _, active = _sum_series(terms, 1, np.ones_like(z), 2, _ML_SERIES_TOL, _ML_MAX_TERMS)
     return out, active
 
 
@@ -241,8 +239,7 @@ def _series_one(kappa: float, z: float) -> float | None:
     """``_series_many`` for one z, term by term with ``math``: the same terms,
     stop rule and cap, and the same partial sums up to the last bit or two
     of ``math.exp`` against ``np.exp``.  None where the series does not
-    converge.  In the series region no term exceeds ~exp(|z|**(1/k)) <=
-    exp(15), so ``math.exp`` cannot overflow.
+    converge.
     """
     logabs = math.log(abs(z)) if z else -math.inf
     total, run = 1.0, 0
@@ -251,8 +248,6 @@ def _series_one(kappa: float, z: float) -> float | None:
         log_gamma = math.log(math.gamma(a)) if a <= _LOG_GAMMA_STIRLING else float(_log_gamma(a))
         term = math.exp(m * logabs - log_gamma)
         total += -term if z < 0 and m % 2 else term
-        if not math.isfinite(total):
-            return total
         run = run + 1 if term <= _ML_SERIES_TOL * max(abs(total), 1e-300) else 0
         if run == 2:
             return total

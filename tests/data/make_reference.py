@@ -52,11 +52,15 @@ independent of the library's own evaluation paths:
                    next to its spike by the split integral and at u 0.1 to
                    0.9 by the series, with kappa and u read as exact binary
                    values, not their decimal repr.
+* ``h_inverse`` -- roots of h(k) = Gamma(k+1)^2 / Gamma(2k+1) = omega by
+                   ``mp.findroot`` at 40 digits, for omega the double h at
+                   60 kappas from 1e-5 to 1 and at four points near
+                   omega = 1/2 and 1, each read as its exact binary value.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
-      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long mixing_seams near_one_tight
+      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long mixing_seams near_one_tight h_inverse
       (recomputes only those sections of ``SECTIONS`` and keeps the others
-      as they are; CI checks that these six reproduce the frozen file).
+      as they are; CI checks that these seven reproduce the frozen file).
       ``ml_seams`` and ``mixing_seams`` read the seams from the library's
       constants, so fpsum must be importable (installed, or
       ``PYTHONPATH=src``).
@@ -698,6 +702,27 @@ def mixing_seams_section():
     return rows
 
 
+def h_inverse_section():
+    """[omega, kappa] rows with h(kappa) = omega: omega is h at 60
+    log-spaced kappas from 1e-5 to 1, rounded to a double, and 1/2 + 2**-52,
+    3/4, 1 - 1e-9 and 1 - 2**-40 (whose root lies below the estimator's
+    1e-6 floor).  Each omega is read as its exact binary value: near 1 its
+    decimal repr misstates 1 - omega, and so the root."""
+    with mp.workdps(40):
+        def h(k):
+            return mp.gamma(k + 1) ** 2 / mp.gamma(2 * k + 1)
+
+        omegas = [float(h(mp.mpf(10.0 ** (-5 + 5 * i / 59)))) for i in range(60)]
+        omegas += [0.5 + 2.0**-52, 0.75, 1.0 - 1e-9, 1.0 - 2.0**-40]
+        rows = []
+        for omega in omegas:
+            w = mp.mpf(omega)
+            # h ~ 1 - (pi^2/6) k^2 near 0; the secant steps from there
+            start = min(mp.sqrt((1 - w) / mp.zeta(2)), mp.mpf(1))
+            rows.append([omega, float(mp.findroot(lambda k: h(k) - w, start))])
+    return rows
+
+
 # sections that can be recomputed on their own, by name on the command line
 SECTIONS = {
     "fp_pmf": fp_pmf_section,
@@ -708,6 +733,7 @@ SECTIONS = {
     "fp_pmf_long": fp_pmf_long_section,
     "mixing_seams": mixing_seams_section,
     "near_one_tight": mixing_near_one_tight_section,
+    "h_inverse": h_inverse_section,
 }
 
 

@@ -317,6 +317,12 @@ class TestExitCodes:
     def test_usage_error_bad_kappa(self):
         assert main(["ml-eval", "--kappa", "2.0", "--z", "-1"]) == 2
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_usage_error_no_draws(self, draws, capsys):
+        argv = ["converge", "fp", "--kappa", "0.5", "--grid", "10,100", "--draws", draws]
+        assert main(argv) == 2
+        assert "draws" in capsys.readouterr().err
+
     def test_usage_error_bad_grid(self):
         assert main(["density", "--dist", "nml", "--kappa", "0.5", "--grid", "oops"]) == 2
 

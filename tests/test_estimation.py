@@ -8,6 +8,7 @@ from scipy.special import gamma as gamma_fn
 from fpsum.distributions import NmlLaw, RngStream
 from fpsum.errors import DomainError, EstimationError
 from fpsum.estimation import (
+    KAPPA_FLOOR,
     BoundaryFlag,
     MomentSummary,
     asymptotic_covariance,
@@ -53,6 +54,11 @@ class TestH:
             h(0.0)
         with pytest.raises(DomainError):
             h_prime(1.5)
+        for bad in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(DomainError):
+                h(bad)
+            with pytest.raises(DomainError):
+                h_prime(bad)
 
 
 class TestHInverse:
@@ -94,6 +100,18 @@ class TestHInverse:
                 assert abs(h(kappa) - omega) <= 1e-12
         with pytest.raises(DomainError):
             h_inverse(np.array([0.6, np.nan, 0.7]))
+
+    def test_against_reference(self, reference):
+        """mpmath roots of h(k) = omega at the double omega, kappa 1e-5 to 1;
+        h's rounding near 0, ~eps against (pi^2/6) kappa^2, sets the
+        1e-15/kappa^2 term."""
+        for omega, root in reference["h_inverse"]:
+            kappa, flag = h_inverse(omega)
+            assert flag is BoundaryFlag.INTERIOR
+            if root < KAPPA_FLOOR:
+                assert kappa == KAPPA_FLOOR, omega
+            else:
+                assert abs(kappa - root) <= (1e-13 + 1e-15 / root**2) * root, omega
 
 
 class TestMmFit:
