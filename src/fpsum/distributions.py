@@ -165,8 +165,12 @@ class MittagLefflerLaw:
         else:
             gen = rng.generator
             theta = gen.uniform(0.0, np.pi, n)
-            w = gen.standard_exponential(n)
-            out = np.exp((1.0 - self.kappa) * (np.log(w) - _kanter_log(self.kappa, theta)))
+            # U is formed in the buffer of W
+            out = gen.standard_exponential(n)
+            np.log(out, out=out)
+            out -= _kanter_log(self.kappa, theta)
+            out *= 1.0 - self.kappa
+            np.exp(out, out=out)
         return float(out[0]) if size is None else out
 
     def mean(self) -> float:
@@ -575,6 +579,8 @@ _COMP_MAX_TABLE = 5_000_000
 # the normalizing series is cut where a term falls below this share of the
 # partial sum (and never before mode + 20 sd)
 _COMP_TRUNC_TOL = 1e-14
+# the log-term table is filled this many counts at a time
+_COMP_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -595,11 +601,15 @@ class CompLaw:
         sd = math.sqrt(max(mode / self.eta, 1.0))
         return int(mode + 20.0 * sd + 30.0)
 
-    def _log_terms(self) -> np.ndarray:
-        """Log-weights log(lam^j / (j!)^eta) out to the truncation horizon.
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, float]:
+        """(log terms, log normalizer), computed once per law.
 
-        The horizon is the larger of mode + 20 sd and the point where the
-        term-to-partial-sum ratio falls below _COMP_TRUNC_TOL.
+        The log terms log(lam^j / (j!)^eta) run out to the truncation
+        horizon: the larger of mode + 20 sd and the point where the
+        term-to-partial-sum ratio falls below _COMP_TRUNC_TOL.  They are
+        filled _COMP_BLOCK counts at a time, which bounds the temporaries of
+        ``_log_gamma`` without changing a bit of the table.
         """
         j_min = self._horizon()
         if j_min > _COMP_MAX_TABLE:
@@ -608,28 +618,23 @@ class CompLaw:
                 "tail mass cannot be bounded"
             )
         log_lam = math.log(self.lam)
-        block = max(j_min + 1, 64)
-        j_hi = block
+        j_hi = max(j_min + 1, 64)
         while True:
-            j = np.arange(j_hi, dtype=float)
-            lt = j * log_lam - self.eta * _log_gamma(j + 1.0)
+            lt = np.empty(j_hi)
+            for lo in range(0, j_hi, _COMP_BLOCK):
+                j = np.arange(lo, min(lo + _COMP_BLOCK, j_hi), dtype=float)
+                lt[lo:lo + j.size] = j * log_lam - self.eta * _log_gamma(j + 1.0)
             shift = lt.max()
-            partial = shift + math.log(np.exp(lt - shift).sum())
-            if lt[-1] - partial < math.log(_COMP_TRUNC_TOL) and j_hi > j_min:
-                return lt
+            weights = lt - shift
+            log_h = shift + math.log(np.exp(weights, out=weights).sum())
+            if lt[-1] - log_h < math.log(_COMP_TRUNC_TOL) and j_hi > j_min:
+                return lt, log_h
             if j_hi > _COMP_MAX_TABLE:
-                tail = math.exp(lt[-1] - partial)
+                tail = math.exp(lt[-1] - log_h)
                 raise EvaluationError(
                     f"truncation horizon exceeded; achieved tail ratio {tail:.3e}"
                 )
             j_hi *= 2
-
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, float]:
-        """(log terms, log normalizer), computed once per law."""
-        lt = self._log_terms()
-        shift = lt.max()
-        return lt, shift + math.log(np.exp(lt - shift).sum())
 
     def log_normalizer(self) -> float:
         """log of the normalizing series sum_i lam^i/(i!)^eta."""
@@ -659,7 +664,8 @@ class CompLaw:
     def sample(self, rng: RngStream, size=None):
         """Exact inverse-cdf draws over the truncated support."""
         lt, log_h = self._table
-        cdf = np.cumsum(np.exp(lt - log_h))
+        cdf = lt - log_h
+        np.cumsum(np.exp(cdf, out=cdf), out=cdf)
         cdf[-1] = 1.0
         n = size if size is not None else 1
         draws = np.searchsorted(cdf, rng.generator.uniform(size=n), side="left")

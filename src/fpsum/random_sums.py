@@ -15,6 +15,8 @@ rademacher summands); other summand families are summed directly.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -188,9 +190,19 @@ def nml_cdf(kappa: float, x) -> np.ndarray:
 def ks_distance(samples: np.ndarray, cdf_values_sorted: np.ndarray) -> float:
     """Kolmogorov-Smirnov statistic given cdf values at the sorted sample."""
     n = cdf_values_sorted.size
-    upper = np.arange(1, n + 1) / n - cdf_values_sorted
-    lower = cdf_values_sorted - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
+    steps = np.arange(n + 1) / n  # the empirical cdf's levels i/n
+    gap = steps[1:] - cdf_values_sorted
+    upper = gap.max()
+    np.subtract(cdf_values_sorted, steps[:-1], out=gap)
+    return float(max(upper, gap.max()))
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -218,6 +230,11 @@ def convergence_sweep(
     kind="fp" targets the standard NML law with tail parameter ``kappa``;
     kind="comp" targets the standard normal and needs ``eta``.  Each kind
     rejects the other's parameter.
+
+    The rates run at the same time, one per CPU available to the process,
+    the calling thread included: their numpy draws and ufuncs release the
+    GIL.  Rate i draws from its own stream ``rng.stream_id + 1 + i``, so the
+    distances do not depend on how many rates run at once, or in what order.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
@@ -238,16 +255,49 @@ def convergence_sweep(
         raise DomainError(f"unknown sweep kind {kind!r}")
 
     # the standard normal is the NML law at kappa 1, so both kinds share one
-    # target cdf table
+    # target cdf table, built before any rate starts
     limit_kappa = kappa if kind == "fp" else 1.0
-    distances = []
-    for i, rate in enumerate(grid):
+    nml_cdf(limit_kappa, 0.0)
+
+    def distance(i: int) -> float:
         stream = rng.child(rng.stream_id + 1 + i)
         if kind == "fp":
-            draws = fp_random_sum(rate, kappa, summands, stream, draws_per_point)
+            draws = fp_random_sum(grid[i], kappa, summands, stream, draws_per_point)
         else:
-            draws = comp_random_sum(rate, eta, summands, stream, draws_per_point)
-        distances.append(ks_distance(draws, nml_cdf(limit_kappa, np.sort(draws))))
+            draws = comp_random_sum(grid[i], eta, summands, stream, draws_per_point)
+        draws.sort()
+        return ks_distance(draws, nml_cdf(limit_kappa, draws))
+
+    distances = [0.0] * len(grid)
+    todo = deque(range(len(grid)))  # popped from the right: largest rate first
+
+    def run_rates() -> None:
+        # take rates until none is left; a failure empties the queue, so no
+        # further rate starts while the error travels to the caller
+        while True:
+            try:
+                i = todo.pop()
+            except IndexError:
+                return
+            try:
+                distances[i] = distance(i)
+            except BaseException:
+                todo.clear()
+                raise
+
+    # the calling thread runs rates too: each helper thread gets its own
+    # malloc arena, which shows in peak memory
+    helpers = min(_available_cpus(), len(grid)) - 1
+    if helpers == 0:
+        run_rates()
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(helpers) as pool:
+            started = [pool.submit(run_rates) for _ in range(helpers)]
+            run_rates()
+            for future in started:
+                future.result()
     return ConvergenceReport(
         kind=kind,
         target=target,

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
-from fpsum.distributions import _COMP_TRUNC_TOL, CompLaw, RngStream
+from fpsum.distributions import _COMP_BLOCK, _COMP_TRUNC_TOL, CompLaw, RngStream
 from fpsum.errors import DomainError, EvaluationError
+from fpsum.special_functions import _log_gamma
 
 
 def poisson_pmf(n, rate):
@@ -44,7 +47,7 @@ class TestPmf:
     def test_sums_to_one(self):
         for lam, eta in [(2.0, 1.5), (1.5, 0.5), (400.0, 2.0)]:
             law = CompLaw(lam, eta)
-            j = np.arange(law._log_terms().size)
+            j = np.arange(law._table[0].size)
             assert abs(law.pmf(j).sum() - 1.0) <= 10 * _COMP_TRUNC_TOL
 
     def test_domain(self):
@@ -61,6 +64,17 @@ class TestPmf:
     def test_horizon_guard(self):
         with pytest.raises(EvaluationError, match="horizon"):
             CompLaw(1e30, 0.5).log_normalizer()
+
+    def test_blocks_match_one_shot_table(self):
+        # the table is filled block by block; (1e4, 0.75) spans seven blocks
+        lam, eta = 1e4, 0.75
+        lt, log_h = CompLaw(lam, eta)._table
+        assert lt.size > 6 * _COMP_BLOCK
+        j = np.arange(lt.size, dtype=float)
+        want = j * math.log(lam) - eta * _log_gamma(j + 1.0)
+        assert np.array_equal(lt, want)
+        shift = want.max()
+        assert log_h == shift + math.log(np.exp(want - shift).sum())
 
 
 class TestMoments:

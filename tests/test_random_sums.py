@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import ndtr
 
+from fpsum import random_sums
 from fpsum.distributions import FractionalPoissonLaw, RngStream
-from fpsum.errors import DomainError
+from fpsum.errors import DomainError, EvaluationError
 from fpsum.random_sums import (
     McExperimentConfig,
     SummandSpec,
@@ -225,6 +228,85 @@ class TestSweep:
         )
         assert report.distances[-1] <= 0.02
         assert report.distances[0] > report.distances[-1]
+
+
+class TestSweepThreads:
+    """The rates of a sweep run at the same time, one per available CPU."""
+
+    @pytest.mark.parametrize(
+        "kind, param, family",
+        [
+            ("fp", {"kappa": 0.5}, "standard_normal"),
+            ("fp", {"kappa": 0.3}, "rademacher"),
+            ("comp", {"eta": 1.5}, "standard_normal"),
+        ],
+    )
+    def test_distances_do_not_depend_on_cpu_count(self, monkeypatch, kind, param, family):
+        rates = (10.0, 100.0, 1000.0, 10000.0, 30000.0)
+        real_sum = random_sums.fp_random_sum if kind == "fp" else random_sums.comp_random_sum
+        threads = set()
+
+        def recording_sum(*args):
+            threads.add(threading.get_ident())
+            return real_sum(*args)
+
+        monkeypatch.setattr(random_sums, f"{kind}_random_sum", recording_sum)
+
+        def sweep(cpus):
+            monkeypatch.setattr(random_sums, "_available_cpus", lambda: cpus)
+            threads.clear()
+            report = convergence_sweep(
+                kind, rates, SummandSpec(family), 5000, RngStream(8, 3), **param
+            )
+            assert 1 <= len(threads) <= cpus
+            return report.distances
+
+        serial = sweep(1)
+        assert threads == {threading.get_ident()}
+        assert sweep(2) == serial
+        assert sweep(4) == serial
+
+    def test_each_rate_runs_once_under_fast_switching(self, monkeypatch):
+        # many short rates, more threads than cores, and a thread switch
+        # every microsecond: a rate taken twice or lost would show in `calls`
+        rates = tuple(10.0 * (r + 1) for r in range(40))
+        real_sum = random_sums.comp_random_sum
+        calls = []
+
+        def recording_sum(lam, *args):
+            calls.append(lam)
+            return real_sum(lam, *args)
+
+        monkeypatch.setattr(random_sums, "comp_random_sum", recording_sum)
+
+        def sweep(cpus):
+            monkeypatch.setattr(random_sums, "_available_cpus", lambda: cpus)
+            calls.clear()
+            report = convergence_sweep(
+                "comp", rates, SummandSpec("rademacher"), 200, RngStream(2), eta=1.5
+            )
+            assert sorted(calls) == list(rates)
+            return report.distances
+
+        serial = sweep(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = sweep(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_error_in_one_rate_reaches_caller(self, monkeypatch, cpus):
+        # at eta 0.2 the COMP horizon passes the table limit at rate 50 only
+        monkeypatch.setattr(random_sums, "_available_cpus", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(EvaluationError, match="exceeds the supported table size"):
+            convergence_sweep(
+                "comp", (2.0, 10.0, 50.0), SummandSpec(), 1000, RngStream(1), eta=0.2
+            )
+        assert threading.active_count() == before
 
 
 class TestMcTables:
