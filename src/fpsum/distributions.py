@@ -133,6 +133,37 @@ def _mixing_log_density(kappa: float, log_u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mixing_rows(kappa: float, generators: list, n: int) -> np.ndarray:
+    """Draws U of the mixing law, kappa < 1: one row of n per generator, each
+    of which draws Theta then W; U is formed for all rows at once, in the
+    buffer of W."""
+    theta = np.empty((len(generators), n))
+    w = np.empty_like(theta)
+    for gen, theta_row, w_row in zip(generators, theta, w):
+        gen.random(out=theta_row)
+        gen.standard_exponential(out=w_row)
+    theta *= np.pi  # uniform(0, pi) bit for bit
+    np.log(w, out=w)
+    w -= _kanter_log(kappa, theta)
+    w *= 1.0 - kappa
+    return np.exp(w, out=w)
+
+
+def _nml_rows(kappa: float, mu: float, sigma: float, generators: list, n: int) -> np.ndarray:
+    """mu + sigma*sqrt(U)*Z, one row of n per generator, each of which draws
+    U (kappa < 1) then Z; the rows are transformed together."""
+    scale = sigma
+    if kappa != 1.0:
+        scale = np.sqrt(_mixing_rows(kappa, generators, n))
+        scale *= sigma
+    x = np.empty((len(generators), n))
+    for gen, row in zip(generators, x):
+        gen.standard_normal(out=row)
+    x *= scale
+    x += mu
+    return x
+
+
 @dataclass(frozen=True)
 class MittagLefflerLaw:
     """Positive law with moment generating function E_kappa; degenerate at 1
@@ -163,14 +194,7 @@ class MittagLefflerLaw:
         if self.kappa == 1.0:
             out = np.ones(n)
         else:
-            gen = rng.generator
-            theta = gen.uniform(0.0, np.pi, n)
-            # U is formed in the buffer of W
-            out = gen.standard_exponential(n)
-            np.log(out, out=out)
-            out -= _kanter_log(self.kappa, theta)
-            out *= 1.0 - self.kappa
-            np.exp(out, out=out)
+            out = _mixing_rows(self.kappa, [rng.generator], n)[0]
         return float(out[0]) if size is None else out
 
     def mean(self) -> float:
@@ -563,11 +587,8 @@ class NmlLaw:
 
     def sample(self, rng: RngStream, size=None):
         """mu + sigma*sqrt(U)*Z with U mixing and Z standard normal."""
-        gen = rng.generator
         n = size if size is not None else 1
-        u = MittagLefflerLaw(self.kappa).sample(rng, n)
-        z = gen.standard_normal(n)
-        out = self.mu + self.sigma * np.sqrt(u) * z
+        out = _nml_rows(self.kappa, self.mu, self.sigma, [rng.generator], n)[0]
         return float(out[0]) if size is None else out
 
 

@@ -125,24 +125,38 @@ class MomentSummary:
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError("sample must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("sample contains non-finite values")
+        m1, variance, numerator = (float(v[0]) for v in _centered_moments(arr[None, :]))
         n = arr.size
-        m1 = float(arr.sum() / n)
         raw_square = arr * arr
-        centered = arr - m1
-        # m1 carries the rounding of a sum of large values; the term 4 M1 c3
-        # amplifies that error, so centre once more on the residual mean
-        centered -= centered.sum() / n
-        square = centered * centered
         return cls(
             n=n,
             m1=m1,
             m2=float(raw_square.sum() / n),
             m4=float(raw_square @ raw_square / n),
-            variance=float(square.sum() / n),
-            kurtosis_numerator=float((square @ square + 4.0 * m1 * (square @ centered)) / n),
+            variance=variance,
+            kurtosis_numerator=numerator,
         )
+
+
+def _centered_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M1, the variance c2 and the kurtosis numerator c4 + 4 M1 c3 of each row
+    of a 2-d array of samples; DomainError if any value is not finite.
+
+    Each row is reduced along its own axis, as the 1-d sample would be, so
+    its moments do not depend on the rows beside it.
+    """
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("sample contains non-finite values")
+    n = rows.shape[1]
+    m1 = rows.sum(axis=1) / n
+    centered = rows - m1[:, None]
+    # m1 carries the rounding of a sum of large values; the term 4 M1 c3
+    # amplifies that error, so centre once more on the residual mean
+    centered -= (centered.sum(axis=1) / n)[:, None]
+    square = centered * centered
+    variance = square.sum(axis=1) / n
+    numerator = (np.vecdot(square, square) + 4.0 * m1 * np.vecdot(square, centered)) / n
+    return m1, variance, numerator
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,23 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .distributions import CompLaw, FractionalPoissonLaw, NmlLaw, RngStream
+from .distributions import (
+    CompLaw,
+    FractionalPoissonLaw,
+    NmlLaw,
+    RngStream,
+    _nml_rows,
+)
 from .errors import DomainError
-from .estimation import BoundaryFlag, MomentSummary, mm_fit_many
-from .special_functions import _check_kappa, _check_kappas
+from .estimation import BoundaryFlag, _centered_moments, mm_fit_many
+from .special_functions import _check_kappa
 
 __all__ = [
     "SummandSpec",
@@ -205,6 +212,43 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run_on_cpus(count: int, task: Callable[[int], None]) -> None:
+    """task(i) for every i in range(count), highest i first, on the calling
+    thread and one helper thread per further available CPU.
+
+    Each thread takes the next index until none is left.  A failure empties
+    the queue, so no further task starts while the error travels to the
+    caller; every helper thread has ended when this returns or raises.
+    """
+    todo = deque(range(count))  # popped from the right
+
+    def run_tasks() -> None:
+        while True:
+            try:
+                i = todo.pop()
+            except IndexError:
+                return
+            try:
+                task(i)
+            except BaseException:
+                todo.clear()
+                raise
+
+    # the calling thread runs tasks too: each helper thread gets its own
+    # malloc arena, which shows in peak memory
+    helpers = min(_available_cpus(), count) - 1
+    if helpers < 1:
+        run_tasks()
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(helpers) as pool:
+            started = [pool.submit(run_tasks) for _ in range(helpers)]
+            run_tasks()
+            for future in started:
+                future.result()
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     kind: str
@@ -259,45 +303,18 @@ def convergence_sweep(
     limit_kappa = kappa if kind == "fp" else 1.0
     nml_cdf(limit_kappa, 0.0)
 
-    def distance(i: int) -> float:
+    distances = [0.0] * len(grid)
+
+    def run_rate(i: int) -> None:
         stream = rng.child(rng.stream_id + 1 + i)
         if kind == "fp":
             draws = fp_random_sum(grid[i], kappa, summands, stream, draws_per_point)
         else:
             draws = comp_random_sum(grid[i], eta, summands, stream, draws_per_point)
         draws.sort()
-        return ks_distance(draws, nml_cdf(limit_kappa, draws))
+        distances[i] = ks_distance(draws, nml_cdf(limit_kappa, draws))
 
-    distances = [0.0] * len(grid)
-    todo = deque(range(len(grid)))  # popped from the right: largest rate first
-
-    def run_rates() -> None:
-        # take rates until none is left; a failure empties the queue, so no
-        # further rate starts while the error travels to the caller
-        while True:
-            try:
-                i = todo.pop()
-            except IndexError:
-                return
-            try:
-                distances[i] = distance(i)
-            except BaseException:
-                todo.clear()
-                raise
-
-    # the calling thread runs rates too: each helper thread gets its own
-    # malloc arena, which shows in peak memory
-    helpers = min(_available_cpus(), len(grid)) - 1
-    if helpers == 0:
-        run_rates()
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(helpers) as pool:
-            started = [pool.submit(run_rates) for _ in range(helpers)]
-            run_rates()
-            for future in started:
-                future.result()
+    _run_on_cpus(len(grid), run_rate)  # largest rate first
     return ConvergenceReport(
         kind=kind,
         target=target,
@@ -312,9 +329,22 @@ def convergence_sweep(
 # ---------------------------------------------------------------------------
 
 
+# replication r of cell c draws from stream c * _CELL_STREAMS + r, so a cell
+# holds at most this many replications before its streams run into the next's
+_CELL_STREAMS = 1_000_003
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class McExperimentConfig:
-    """Replicated sample-fit experiment over a (kappa, n) grid."""
+    """Replicated sample-fit experiment over a (kappa, n) grid.
+
+    Every field is checked at construction, before any cell runs: integer
+    counts, a 64-bit seed, nonempty grids, and an NML law for each kappa.
+    """
 
     mu: float = 0.5
     sigma2: float = 1.0
@@ -324,11 +354,22 @@ class McExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
-        if any(n < 2 for n in self.sample_sizes):
-            raise DomainError("sample sizes must be >= 2")
-        _check_kappas(self.kappa_grid)
+        if not _is_count(self.replications) or not 1 <= self.replications <= _CELL_STREAMS:
+            raise DomainError(
+                f"replications must be an integer in [1, {_CELL_STREAMS}], "
+                f"got {self.replications!r}"
+            )
+        if not _is_count(self.base_seed) or not 0 <= self.base_seed < 2**64:
+            raise DomainError(
+                f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}"
+            )
+        grids = (self.kappa_grid, self.sample_sizes)
+        if any(np.ndim(grid) != 1 or len(grid) == 0 for grid in grids):
+            raise DomainError("kappa grid and sample sizes must be nonempty sequences")
+        if not all(_is_count(n) and n >= 2 for n in self.sample_sizes):
+            raise DomainError(f"sample sizes must be integers >= 2, got {self.sample_sizes!r}")
+        for kappa in self.kappa_grid:
+            NmlLaw(self.mu, self.sigma2, kappa)
 
 
 @dataclass(frozen=True)
@@ -351,14 +392,25 @@ class McCell:
     se_theoretical: dict
 
 
+# a block of a cell's replications holds about this many sample values: its
+# numpy passes are long enough to release the GIL for most of their time
+_BLOCK_VALUES = 2**14
+
+
 def _run_cell(config: McExperimentConfig, cell_index: int, kappa: float, n: int) -> McCell:
-    law = NmlLaw(config.mu, config.sigma2, kappa)
+    sigma = math.sqrt(config.sigma2)
     reps = config.replications
+    rows = max(1, _BLOCK_VALUES // n)
     moments = np.empty((3, reps))
-    for r in range(reps):
-        stream = RngStream(config.base_seed, cell_index * 1_000_003 + r)
-        summary = MomentSummary.from_sample(law.sample(stream, n))
-        moments[:, r] = summary.m1, summary.variance, summary.kurtosis_numerator
+
+    def run_block(b: int) -> None:
+        block = range(b * rows, min((b + 1) * rows, reps))
+        gens = [RngStream(config.base_seed, cell_index * _CELL_STREAMS + r).generator
+                for r in block]
+        x = _nml_rows(kappa, config.mu, sigma, gens, n)
+        moments[:, block.start:block.stop] = _centered_moments(x)
+
+    _run_on_cpus(-(-reps // rows), run_block)
     fits = mm_fit_many(n, *moments)
     flags = fits.boundary_flag.tolist()
     interior = np.array([f is BoundaryFlag.INTERIOR for f in flags])
@@ -387,10 +439,13 @@ def _run_cell(config: McExperimentConfig, cell_index: int, kappa: float, n: int)
 def run_mc_tables(config: McExperimentConfig) -> list[McCell]:
     """Run every (kappa, n) cell; deterministic for a given config/base_seed.
 
-    Replication r of cell c owns stream (base_seed, c*1000003 + r), so results
-    do not depend on execution order.  Each cell draws and summarizes its
-    samples one replication at a time, then fits them all in one
-    ``mm_fit_many`` pass.
+    Replication r of cell c owns stream (base_seed, c*1000003 + r).  A cell
+    draws its replications in blocks of about 2**14 sample values, and
+    transforms and summarizes each block in one pass.  The blocks run at the
+    same time, one per CPU available to the process, the calling thread
+    included; the cell then fits all its summaries in one ``mm_fit_many``
+    pass.  Results do not depend on how many CPUs run the blocks, or in what
+    order.
     """
     cells = [(k, n) for k in config.kappa_grid for n in config.sample_sizes]
     return [_run_cell(config, i, kappa, n) for i, (kappa, n) in enumerate(cells)]

@@ -323,6 +323,12 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "draws" in capsys.readouterr().err
 
+    def test_usage_error_too_many_reps(self, capsys):
+        # more replications would make a cell's streams overlap the next cell's
+        argv = ["mc-tables", "--kappa", "0.5", "--n", "200", "--reps", "1000004"]
+        assert main(argv) == 2
+        assert "replications" in capsys.readouterr().err
+
     def test_usage_error_bad_grid(self):
         assert main(["density", "--dist", "nml", "--kappa", "0.5", "--grid", "oops"]) == 2
 

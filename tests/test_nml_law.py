@@ -231,3 +231,22 @@ class TestSampler:
         a = NmlLaw(0.0, 1.0, 0.5).sample(RngStream(9, 1), 64)
         b = NmlLaw(0.0, 1.0, 0.5).sample(RngStream(9, 1), 64)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.999, 1.0])
+    def test_draws_theta_then_w_then_z(self, kappa):
+        # the stable transformation and the normal mixture written out with
+        # the variates the sampler draws, in its order
+        law = NmlLaw(-1.5, 2.5, kappa)
+        gen = RngStream(9, 2).generator
+        u = np.ones(50)
+        if kappa < 1.0:
+            theta = gen.uniform(0.0, np.pi, 50)
+            w = gen.standard_exponential(50)
+            a = (np.sin(kappa * theta) / np.sin(theta)) ** (1.0 / (1.0 - kappa)) * (
+                np.sin((1.0 - kappa) * theta) / np.sin(kappa * theta)
+            )
+            u = (w / a) ** (1.0 - kappa)
+        want = -1.5 + np.sqrt(2.5) * np.sqrt(u) * gen.standard_normal(50)
+        got = law.sample(RngStream(9, 2), 50)
+        # A(theta) is formed in logs, so U agrees to rounding, Z exactly
+        assert_allclose(got, want, rtol=1e-12 if kappa < 0.99 else 1e-9)

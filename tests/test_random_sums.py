@@ -8,10 +8,12 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import ndtr
 
-from fpsum import random_sums
-from fpsum.distributions import FractionalPoissonLaw, RngStream
+from fpsum import distributions, random_sums
+from fpsum.distributions import FractionalPoissonLaw, NmlLaw, RngStream
 from fpsum.errors import DomainError, EvaluationError
+from fpsum.estimation import BoundaryFlag, MomentSummary, mm_fit_many
 from fpsum.random_sums import (
+    McCell,
     McExperimentConfig,
     SummandSpec,
     comp_random_sum,
@@ -374,3 +376,132 @@ class TestMcTables:
             McExperimentConfig(sample_sizes=(1,))
         with pytest.raises(DomainError):
             McExperimentConfig(kappa_grid=(1.2,))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"replications": 3.5},
+            {"replications": True},
+            {"replications": 1_000_004},
+            {"sample_sizes": (200.0,)},
+            {"sample_sizes": (True,)},
+            {"sample_sizes": ()},
+            {"kappa_grid": ()},
+            {"kappa_grid": 0.5},
+            {"base_seed": -1},
+            {"base_seed": 2**64},
+            {"base_seed": 7.0},
+            {"sigma2": 0.0},
+        ],
+        ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()),
+    )
+    def test_config_rejected_up_front(self, change):
+        with pytest.raises(DomainError):
+            McExperimentConfig(**change)
+
+    def test_config_limits_accepted(self):
+        McExperimentConfig(replications=1_000_003, base_seed=2**64 - 1)
+        McExperimentConfig(sample_sizes=(np.int64(200),), replications=np.int32(3))
+
+
+def _reference_cell(config, kappa, n):
+    """The cell of kappa and n, drawn, summarized and aggregated one
+    replication at a time through the public sampler and summary."""
+    law = NmlLaw(config.mu, config.sigma2, kappa)
+    cell_index = [(k, m) for k in config.kappa_grid for m in config.sample_sizes].index((kappa, n))
+    streams = (RngStream(config.base_seed, cell_index * 1_000_003 + r)
+               for r in range(config.replications))
+    summaries = [MomentSummary.from_sample(law.sample(stream, n)) for stream in streams]
+    fits = mm_fit_many(
+        n, *([getattr(s, f) for s in summaries] for f in ("m1", "variance", "kurtosis_numerator"))
+    )
+    flags = fits.boundary_flag.tolist()
+    interior = np.array([f is BoundaryFlag.INTERIOR for f in flags])
+    kept = np.column_stack((fits.mu_hat, fits.sigma2_hat, fits.kappa_hat))[interior]
+    truth = np.array([config.mu, config.sigma2, kappa])
+    names = ("mu", "sigma2", "kappa")
+    return McCell(
+        kappa=kappa,
+        n=n,
+        replications=config.replications,
+        clamped_low=flags.count(BoundaryFlag.CLAMPED_LOW),
+        clamped_high=flags.count(BoundaryFlag.CLAMPED_HIGH),
+        mean_est=dict(zip(names, kept.mean(axis=0))),
+        rmse=dict(zip(names, np.sqrt(((kept - truth) ** 2).mean(axis=0)))),
+        se_empirical=dict(zip(names, kept.std(axis=0, ddof=1))),
+        se_theoretical=dict(zip(names, fits.se[interior].mean(axis=0))),
+    )
+
+
+class TestMcCellBlocks:
+    """A cell runs its replications in blocks of about 2**14 sample values,
+    on the available CPUs."""
+
+    @pytest.mark.parametrize(
+        "kappa_grid, sample_sizes, reps",
+        [
+            ((0.8, 0.2), (200,), 100),  # 81 rows a block: 81 + 19
+            ((1.0, 1.0 - 1e-9), (7, 2000), 30),
+            ((0.5,), (2**14 + 3,), 3),  # one row a block
+        ],
+        ids=["partial-block", "near-and-at-one", "longer-than-a-block"],
+    )
+    def test_cells_equal_per_replication_reference(self, kappa_grid, sample_sizes, reps):
+        config = McExperimentConfig(
+            mu=-1.5, sigma2=2.5, kappa_grid=kappa_grid, sample_sizes=sample_sizes,
+            replications=reps, base_seed=31,
+        )
+        cells = run_mc_tables(config)
+        assert len(cells) == len(kappa_grid) * len(sample_sizes)
+        for cell in cells:
+            assert cell == _reference_cell(config, cell.kappa, cell.n)
+
+    def test_cells_do_not_depend_on_cpu_count(self, monkeypatch):
+        config = McExperimentConfig(
+            kappa_grid=(0.3, 1.0), sample_sizes=(500, 3000), replications=70, base_seed=12
+        )
+        real_moments = random_sums._centered_moments
+        threads, alive = set(), []
+
+        def recording_moments(rows):
+            threads.add(threading.get_ident())
+            alive.append(threading.active_count())
+            return real_moments(rows)
+
+        monkeypatch.setattr(random_sums, "_centered_moments", recording_moments)
+        before = threading.active_count()
+
+        def cells(cpus):
+            monkeypatch.setattr(random_sums, "_available_cpus", lambda: cpus)
+            threads.clear()
+            alive.clear()
+            out = run_mc_tables(config)
+            # the calling thread and at most one helper per further CPU
+            assert threading.get_ident() in threads
+            assert max(alive) - before <= cpus - 1
+            return out
+
+        serial = cells(1)
+        assert threads == {threading.get_ident()}
+        assert cells(2) == serial
+        assert cells(4) == serial
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_error_in_one_block_reaches_caller(self, monkeypatch, cpus):
+        # the third block's mixing draws come out nan, which the summary rejects
+        real_kanter_log = distributions._kanter_log
+        calls = iter(range(10**6))
+
+        def failing_kanter_log(kappa, theta):
+            out = real_kanter_log(kappa, theta)
+            return out * np.nan if next(calls) == 2 else out
+
+        monkeypatch.setattr(distributions, "_kanter_log", failing_kanter_log)
+        monkeypatch.setattr(random_sums, "_available_cpus", lambda: cpus)
+        before = threading.active_count()
+        config = McExperimentConfig(
+            kappa_grid=(0.5,), sample_sizes=(2000,), replications=60, base_seed=3
+        )
+        with pytest.raises(DomainError, match="non-finite"):
+            run_mc_tables(config)
+        assert threading.active_count() == before
