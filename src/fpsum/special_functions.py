@@ -10,16 +10,17 @@ therefore split into four branches:
 
 * power series, where the largest term stays small enough that cancellation
   costs at most a few digits;
-* a spectral integral on the cut, ``E_k(-x) = (1/(pi*k)) * int exp(-(x*u)**(1/k))``
-  over a finite angular interval, which is smooth, positive, and valid for all
-  ``x`` bounded away from zero and ``0 < k < 1`` (at ``k <= 0.35`` it runs in
-  a log variable, ``_log_step_cut``);
+* the integral on the cut, ``E_k(-x) = (sin(k*pi)/(pi*k)) * int_0^inf
+  exp(-(x*u)**(1/k)) / D(u) du``, D(u) = u**2 + 2*u*cos(k*pi) + 1, smooth
+  and positive for ``x`` bounded away from zero: one log-variable rule for
+  every kappa (``_log_step_cut``), graded toward the pole of 1/D where it is
+  narrower than 0.1 in the log variable;
 * the algebraic asymptotic expansion
   ``E_k(-x) ~ sum_m (-1)**(m-1) x**-m / Gamma(1 - k*m)`` with optimal
   truncation, for large ``x``;
 * on the positive axis, wherever the series is not taken,
   ``E_k(x) = exp(x**(1/k))/k - R_k(x)``: ``R_k`` is the same cut integral
-  with the sign of ``cos(k*pi)`` flipped, on the same log-step nodes.
+  with the sign of ``cos(k*pi)`` flipped.
 
 ``k = 1`` dispatches to ``exp`` exactly, which also removes the poles of
 ``Gamma(1 - m)`` from the asymptotic branch; past the double range it is
@@ -32,9 +33,9 @@ other value goes to the array kernels, and a series that does not converge
 to their hand-offs (the cut integral, lead - R).  ``_series_region`` is the
 one statement of where the series applies, for both doors.
 
-The gamma-family kernels every module uses (``_log_gamma``, ``_digamma``,
-``_reciprocal_gamma``) and the Gauss-Legendre rule are built on ``math`` and
-numpy alone: they cover the arguments the package uses, not the real line.
+The gamma-family kernels every module uses (``_log_gamma``, ``_digamma``)
+and the Gauss-Legendre rule are built on ``math`` and numpy alone: they
+cover the arguments the package uses, not the real line.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ __all__ = ["mittag_leffler"]
 # of the largest term while E_k(-x) itself stays >= ~exp(-4.6).
 _SERIES_EXPONENT_BUDGET = 4.6
 
-# Smallest |z| for which the cached spectral nodes resolve the integrand.
+# smallest |z| the cut integral takes: below, the pole of 1/D can fall in
+# its 2-wide left panels (2e-5 off at kappa 0.9, x 1e-3)
 _SPECTRAL_X_MIN = 0.25
 
 # smallest x**(1/k) at which a positive x skips the series
@@ -141,13 +143,6 @@ def _digamma(x):
         1 / 240 - p * (1 / 132 - p * (691 / 32760 - p / 12))))))
     shift = (1.0 / np.add.outer(x, np.arange(9.0))).sum(axis=-1)
     return (np.log(y) - 0.5 / y - tail - shift)[()]
-
-
-def _reciprocal_gamma(t: np.ndarray) -> np.ndarray:
-    """1/Gamma(t) on a short 1-d array, exactly 0 at the poles t = 0, -1, ..."""
-    return np.array(
-        [0.0 if v <= 0.0 and v.is_integer() else 1.0 / math.gamma(v) for v in t.tolist()]
-    )
 
 
 # terms per block of the series driver: a row may compute up to this many
@@ -264,81 +259,86 @@ def _series_region(z, exponent):
     )
 
 
-@lru_cache(maxsize=64)
-def _spectral_nodes(kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes for the cut integral, reusable for every x >= _SPECTRAL_X_MIN.
-
-    The integrand exp(-(x*u(theta))**(1/k)) rises from 0 at theta0 = pi/2 - k*pi
-    with a Hoelder-continuous derivative, so panels are geometrically graded
-    toward theta0; the right end is cut where the exponent exceeds ~46 for the
-    smallest supported x.
-    """
-    theta0 = np.pi / 2 - kappa * np.pi
-    u_hi = 46.0**kappa / _SPECTRAL_X_MIN
-    theta_hi = np.arctan2(u_hi + np.cos(kappa * np.pi), np.sin(kappa * np.pi))
-    span = theta_hi - theta0
-    graded = theta0 + span * 0.5 ** np.arange(54, 0, -1)
-    uniform = np.linspace(theta0 + span * 0.5, theta_hi, 25)
-    edges = np.concatenate(([theta0], graded[:-1], uniform))
-    theta, weights = _gl_panels(edges[:-1], edges[1:], 16)
-    # u(theta) = sin(kappa*pi)*tan(theta) - cos(kappa*pi), written without
-    # cancellation near its zero at theta0
-    u = np.sin(theta - theta0) / np.cos(theta)
-    return u, weights
+_LOG_STEP_LEFT, _LOG_STEP_RIGHT = -30.0, 4.2
+# panel edges in s shared by every kappa and x: 2 wide left of -4, 0.2 wide
+# over the step exp(-exp(s)), which is ~e^-67 at the right end
+_LOG_STEP_EDGES = np.concatenate(
+    (np.linspace(_LOG_STEP_LEFT, -4.0, 14), np.linspace(-4.0, _LOG_STEP_RIGHT, 42)[1:])
+)
+# the pole of 1/D gets its own panels where its width in s is below this
+_POLE_WIDTH_MAX = 0.1
 
 
-_LOG_STEP_LEFT = -30.0
-
-
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _log_step_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on s in [-30, 4.2] for ``_log_step_cut``."""
-    edges = np.concatenate(
-        (np.linspace(_LOG_STEP_LEFT, -4.0, 14), np.linspace(-4.0, 4.2, 42)[1:])
-    )
-    return _gl_panels(edges[:-1], edges[1:], 16)
+    """16-point Gauss-Legendre nodes s on the shared edges, and their
+    weights times the step exp(-exp(s))."""
+    s, w = _gl_panels(_LOG_STEP_EDGES[:-1], _LOG_STEP_EDGES[1:], 16)
+    return s, np.exp(-np.exp(s)) * w
 
 
-# below this kappa the cut integral runs in the log variable: D(u) is
-# monotone there (no Lorentzian spike), while the theta form's panels stop
-# resolving the increasingly sharp step of exp(-(x*u)**(1/k))
-_SMALL_KAPPA_SWITCH = 0.35
+def _log_step_cut(kappa: float, x: np.ndarray, positive: bool) -> np.ndarray:
+    """The cut integral (1/(pi*k)) int_0^inf sin(a) exp(-(x*u)**(1/k)) / D(u) du,
+    D(u) = (u + cos(a))**2 + sin(a)**2: E_k(-x) at a = k*pi, and at
+    a = (1-k)*pi (``positive``), which flips the sign of the cosine, the
+    remainder R_k(x) of the positive axis.
 
-
-def _log_step_cut(kappa: float, x: np.ndarray, angle: float) -> np.ndarray:
-    """(1/(pi*k)) * int_0^inf sin(a) exp(-(x*u)**(1/k)) / D(u) du in the log
-    variable, with D(u) = u**2 + 2*u*cos(a) + 1.
-
-    ``angle`` a = k*pi gives E_k(-x); a = (1-k)*pi flips the sign of the
-    cosine and gives the remainder R_k(x) of the positive axis.  In u the
-    integrand is 1/D(u) times a smoothed step at u = 1/x whose relative
-    width is kappa; substituting u = exp(kappa*s)/x makes the step shape
-    exp(-exp(s)) independent of both kappa and x.  The region left of the
-    step integrates in closed form (arctan antiderivative of 1/D).  Where
-    D has a Lorentzian peak (a < pi/2, at u = cos(a)), its width in s is
-    ~ tan(a)/kappa >= pi, which the nodes resolve.
+    u = exp(k*s)/x turns the step of the integrand at u = 1/x into
+    exp(-exp(s)), the same for every kappa and x; left of s = -30 the arctan
+    antiderivative of 1/D closes the integral.  Where cos(a) < 0, 1/D has a
+    pole at u_p = -cos(a), sin(a) off the axis and w = sin(a)/(k*u_p) wide
+    in s: past kappa ~0.97, w < _POLE_WIDTH_MAX and each x gets panels
+    graded toward it (``_pole_panels``).  sin(a) and cos(a) come from the
+    folded angle min(k, 1-k)*pi, exact as kappa nears 1.
     """
-    s, w = _log_step_nodes()
-    cosk, sink = np.cos(angle), np.sin(angle)
-    theta0 = np.pi / 2 - angle
-    u = np.exp(kappa * s)[None, :] / x[:, None]
-    d = u * u + 2.0 * cosk * u + 1.0
+    fold = min(kappa, 1.0 - kappa) * math.pi
+    sin_a = math.sin(fold)
+    cos_a = math.cos(fold) if (kappa < 0.5) != positive else -math.cos(fold)
+    u_a = math.exp(kappa * _LOG_STEP_LEFT) / x
+    left = np.arctan2(u_a * sin_a, 1.0 + u_a * cos_a) / (math.pi * kappa)
+    width = sin_a / (kappa * -cos_a) if cos_a < 0.0 else math.inf
     with np.errstate(under="ignore"):
-        middle = (np.exp(-np.exp(s)) * (sink / np.pi))[None, :] * u / d @ w
-    u_a = np.exp(kappa * _LOG_STEP_LEFT) / x
-    left = (np.arctan2(u_a + cosk, sink) - theta0) / (np.pi * kappa)
-    return left + middle
+        if width < _POLE_WIDTH_MAX:
+            middle = _pole_panels(kappa, x, -cos_a, sin_a, width)
+        else:
+            s, g = _log_step_nodes()
+            # two n x 864 arrays, written in place
+            u = np.exp(kappa * s) / x[:, None]
+            d = u + cos_a
+            d *= d
+            d += sin_a * sin_a
+            u /= d
+            middle = u @ g
+    return left + middle * (sin_a / math.pi)
 
 
-def _spectral_many(kappa: float, x: np.ndarray) -> np.ndarray:
-    """E_k(-x) for x >= _SPECTRAL_X_MIN via the cut integral, 0 < k < 1."""
-    if kappa <= _SMALL_KAPPA_SWITCH:
-        return _log_step_cut(kappa, x, kappa * np.pi)
-    u, w = _spectral_nodes(kappa)
-    with np.errstate(over="ignore", under="ignore"):
-        expo = (x[:, None] * u[None, :]) ** (1.0 / kappa)
-        vals = np.exp(-expo) @ w
-    return vals / (np.pi * kappa)
+def _pole_panels(kappa, x, u_p, sin_a, width):
+    """int exp(-exp(s)) u / D(u) ds, as in ``_log_step_cut``, with each x's
+    pole s_p = log(x*u_p)/k: edges at s_p and s_p -+ width * 2**j up to
+    the first past _POLE_WIDTH_MAX, merged with the shared ones.  The nodes
+    are carried as t = s - s_p, and u - u_p = u_p * expm1(k*t) keeps D to
+    relative precision at the pole."""
+    s_p = np.log(x * u_p) / kappa
+    steps = width * 2.0 ** np.arange(math.ceil(math.log2(_POLE_WIDTH_MAX / width)) + 1)
+    pole = np.concatenate((-steps[::-1], [0.0], steps))
+    # pole edges past the ends pile up there, as panels of width 0
+    lo, hi = (_LOG_STEP_LEFT - s_p)[:, None], (_LOG_STEP_RIGHT - s_p)[:, None]
+    edges = np.sort(np.hstack((_LOG_STEP_EDGES - s_p[:, None], np.clip(pole, lo, hi))), axis=1)
+    t, w = _gl_panels(edges[:, :-1].ravel(), edges[:, 1:].ravel(), 16)
+    t, w = t.reshape(x.size, -1), w.reshape(x.size, -1)
+    # three arrays, written in place: w times the step at s = s_p + t ...
+    step = np.exp(s_p[:, None] + t)
+    np.exp(np.negative(step, out=step), out=step)
+    step *= w
+    # ... and u_p * u / D, from u / u_p = exp(k t) and (u - u_p) / u_p,
+    # each to relative precision
+    t *= kappa
+    d = np.expm1(t, out=w)
+    d *= d
+    d += (sin_a / u_p) ** 2
+    u = np.exp(t, out=t)
+    u /= d
+    return np.vecdot(step, u) / u_p
 
 
 def _asymptotic_many(kappa: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +348,13 @@ def _asymptotic_many(kappa: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     vanish at a pole of Gamma(1 - kappa*m) without the remainder being small.
     """
     m = np.arange(1, _ASYMPTOTIC_MAX_TERMS + 3, dtype=float)
-    coef = (-1.0) ** (m - 1) * _reciprocal_gamma(1.0 - kappa * m)
+    # (-1)**(m-1) / Gamma(1 - k*m) = sin(pi*m*(1-k)) * Gamma(k*m) / pi by
+    # reflection: 1 - k*m rounded next to a pole of Gamma would cost
+    # eps/(1-k).  The sine takes the folded angle min(k, 1-k), exact at
+    # both ends of (0, 1); below 1/2, sin(pi*m*(1-k)) = (-1)**(m-1) sin(pi*m*k)
+    sign = 1.0 if kappa >= 0.5 else (-1.0) ** (m - 1)
+    gamma = np.array([math.gamma(v) for v in (kappa * m).tolist()])
+    coef = sign * np.sin(np.pi * min(kappa, 1.0 - kappa) * m) * gamma / np.pi
     with np.errstate(over="ignore", under="ignore"):
         terms = coef[None, :] * x[:, None] ** (-m[None, :])
     partial = np.cumsum(terms, axis=1)
@@ -514,7 +520,7 @@ def _positive_rest(kappa: float, x: np.ndarray, exponent: np.ndarray) -> np.ndar
     """E_k(x) = exp(x**(1/k))/k - R_k(x) for x > 0, given exponent = x**(1/k)."""
     with np.errstate(over="ignore"):
         lead = np.exp(exponent) / kappa
-    return lead - _log_step_cut(kappa, x, (1.0 - kappa) * np.pi)
+    return lead - _log_step_cut(kappa, x, positive=True)
 
 
 def _one_value(kappa: float, z: float) -> float | None:
@@ -539,7 +545,7 @@ def _one_value(kappa: float, z: float) -> float | None:
     if value is None:
         _check_series_fallback(z)
         x = np.array([abs(z)])
-        value = float((_spectral_many(kappa, x) if z < 0 else
+        value = float((_log_step_cut(kappa, x, positive=False) if z < 0 else
                        _positive_rest(kappa, x, x ** (1.0 / kappa)))[0])
     return value
 
@@ -590,36 +596,29 @@ def mittag_leffler(kappa, z):
     with np.errstate(over="ignore"):
         exponent = x ** (1.0 / kappa)
 
-    series_mask = _series_region(z_arr, exponent)
-    # positive arguments the series does not take get exp(x**(1/k))/k - R_k(x)
-    pos_rest = (z_arr > 0) & ~series_mask
-    if series_mask.any():
-        sub = z_arr[series_mask]
-        vals, failed = _series_many(kappa, sub)
+    series = _series_region(z_arr, exponent)
+    if series.any():
+        vals, failed = _series_many(kappa, z_arr[series])
+        out[series] = vals
         if failed.any():
-            _check_series_fallback(sub[failed])
-            neg = failed & (sub < 0)
-            if neg.any():
-                vals[neg] = _spectral_many(kappa, -sub[neg])
-            pos_rest[np.flatnonzero(series_mask)[failed & (sub > 0)]] = True
-        out[series_mask] = vals
+            idx = np.flatnonzero(series)[failed]
+            _check_series_fallback(z_arr[idx])
+            # the branches below take what the series left
+            series[idx] = False
+    # positive arguments the series does not take get exp(x**(1/k))/k - R_k(x)
+    pos_rest = (z_arr > 0) & ~series
     if pos_rest.any():
         out[pos_rest] = _positive_rest(kappa, x[pos_rest], exponent[pos_rest])
-
-    rest = ~series_mask & (z_arr < 0)
-    if rest.any():
-        xr = x[rest]
-        vals = np.empty_like(xr)
-        accepted = np.zeros(xr.shape, dtype=bool)
-        candidates = xr >= _ASYMPTOTIC_THRESHOLD
-        if candidates.any():
-            av, bound = _asymptotic_many(kappa, xr[candidates])
-            good = bound <= 1e-15 * np.abs(av)
-            idx = np.flatnonzero(candidates)[good]
-            vals[idx] = av[good]
-            accepted[idx] = True
-        if (~accepted).any():
-            vals[~accepted] = _spectral_many(kappa, xr[~accepted])
-        out[rest] = vals
+    # negative ones the expansion where its bound accepts it, else the cut integral
+    cut = (z_arr < 0) & ~series
+    big = cut & (x >= _ASYMPTOTIC_THRESHOLD)
+    if big.any():
+        vals, bound = _asymptotic_many(kappa, x[big])
+        good = bound <= 1e-15 * np.abs(vals)
+        idx = np.flatnonzero(big)[good]
+        out[idx] = vals[good]
+        cut[idx] = False
+    if cut.any():
+        out[cut] = _log_step_cut(kappa, x[cut], positive=False)
 
     return float(out[0]) if scalar else out

@@ -52,18 +52,21 @@ independent of the library's own evaluation paths:
                    next to its spike by the split integral and at u 0.1 to
                    0.9 by the series, with kappa and u read as exact binary
                    values, not their decimal repr.
+* ``ml_near_one`` -- E_k(-x) at kappa 0.995 to 1 - 1e-9 by the ``ml``
+                   series, from past the series budget to x = 150, with
+                   kappa and z read as their exact binary values.
 * ``h_inverse`` -- roots of h(k) = Gamma(k+1)^2 / Gamma(2k+1) = omega by
                    ``mp.findroot`` at 40 digits, for omega the double h at
                    60 kappas from 1e-5 to 1 and at four points near
                    omega = 1/2 and 1, each read as its exact binary value.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
-      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long mixing_seams near_one_tight h_inverse
+      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long mixing_seams near_one_tight h_inverse ml_near_one
       (recomputes only those sections of ``SECTIONS`` and keeps the others
-      as they are; CI checks that these seven reproduce the frozen file).
-      ``ml_seams`` and ``mixing_seams`` read the seams from the library's
-      constants, so fpsum must be importable (installed, or
-      ``PYTHONPATH=src``).
+      as they are; CI checks that these eight reproduce the frozen file).
+      ``ml_seams``, ``ml_near_one`` and ``mixing_seams`` read the seams
+      from the library's constants, so fpsum must be importable (installed,
+      or ``PYTHONPATH=src``).
 """
 
 import functools
@@ -89,8 +92,8 @@ def ml_series_mp(kappa, z, rel_dps=25):
     peak_log = x ** (1.0 / kappa)  # ~log of the largest term
     guard = int(0.45 * peak_log) + 60
     with mp.workdps(rel_dps + guard):
-        k = mp.mpf(repr(kappa))
-        zz = mp.mpf(repr(z))
+        k = _read(kappa)
+        zz = _read(z)
         s = mp.mpf(0)
         m = 0
         peak_m = peak_log / kappa
@@ -663,8 +666,8 @@ def ml_seams_section():
     ``mittag_leffler``'s dispatch, placed from the library's constants:
     the series budget |z|**(1/k) on the negative axis and its bound on the
     positive one, the cut integral's smallest |z|, the asymptotic
-    threshold, and kappa on both sides of the switch to the log-step cut
-    integral.  Rounding z to 12 bits moves it by < 1.3e-4 relative, well
+    threshold, and kappa on both sides of 0.35, where the cut integral
+    once switched rules.  Rounding z to 12 bits moves it by < 1.3e-4 relative, well
     inside the 2 % (0.1 % in z at kappa 0.05 for the exponent seams)."""
     from fpsum import special_functions as sf
 
@@ -677,11 +680,30 @@ def ml_seams_section():
                 (kap, -f * sf._SPECTRAL_X_MIN),
                 (kap, -f * sf._ASYMPTOTIC_THRESHOLD),
             ]
-    switch = sf._SMALL_KAPPA_SWITCH
+    switch = 0.35  # the retired switch from the log-step rule to the theta form
     for kap in (round(switch - 0.01, 2), switch, round(switch + 0.01, 2)):
         points += [(kap, z) for z in (-2.0, -5.0, -20.0)]
     return [[kap, z, float(ml_oracle(kap, z))]
             for kap, z in ((kap, _exact_repr(z)) for kap, z in points)]
+
+
+def ml_near_one_section():
+    """[kappa, z, E_k(z)] rows at kappa 0.995 to 1 - 1e-9, where 1/D in the
+    cut integral has a pole narrower than its shared panels: 16 x from 2 %
+    past the series budget to 60, 2 % to either side of the asymptotic
+    threshold, and x = 150, where the expansion takes over.  kappa and z
+    are read as their exact binary values (z rounded to 12 bits); ~3 s."""
+    from fpsum import special_functions as sf
+
+    rows = []
+    for kap in [0.995, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-9]:
+        lo = 1.02 * sf._SERIES_EXPONENT_BUDGET**kap
+        xs = [lo * (60.0 / lo) ** (i / 15) for i in range(16)]
+        xs += [0.98 * sf._ASYMPTOTIC_THRESHOLD, 1.02 * sf._ASYMPTOTIC_THRESHOLD, 150.0]
+        for x in xs:
+            z = _exact_repr(-x)
+            rows.append([kap, z, float(ml_series_mp(mp.mpf(kap), mp.mpf(z)))])
+    return rows
 
 
 def mixing_seams_section():
@@ -730,6 +752,7 @@ SECTIONS = {
     "nml_near_one": nml_near_one_section,
     "fp_pmf_near_one": fp_pmf_near_one_section,
     "ml_seams": ml_seams_section,
+    "ml_near_one": ml_near_one_section,
     "fp_pmf_long": fp_pmf_long_section,
     "mixing_seams": mixing_seams_section,
     "near_one_tight": mixing_near_one_tight_section,

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import erfc, gammaln, psi, rgamma
+from scipy.special import erfc, gammaln, psi
 
 from fpsum.errors import DomainError, EvaluationError
 from fpsum import special_functions
@@ -15,7 +15,6 @@ from fpsum.special_functions import (
     _digamma,
     _legendre,
     _log_gamma,
-    _reciprocal_gamma,
     _sum_series,
     mittag_leffler,
 )
@@ -62,6 +61,11 @@ class TestMittagLeffler:
     def test_seams_against_reference(self, reference):
         # both sides of every seam of the branch dispatch
         _check_both_doors(reference["ml_seams"], 1e-11)
+
+    def test_near_one_against_reference(self, reference):
+        # the cut integral where 1/D has a narrow pole, up to kappa 1 - 1e-9,
+        # and both sides of the asymptotic threshold
+        _check_both_doors(reference["ml_near_one"], 1e-13)
 
     @pytest.mark.parametrize("kappa, z", [(0.2, 5.0), (1.0, 800.0)])
     def test_positive_overflow_is_inf(self, kappa, z):
@@ -117,7 +121,7 @@ class TestMittagLeffler:
     def test_branch_seams_are_smooth(self):
         # values on a fine grid spanning the series/integral/asymptotic
         # switches must decrease monotonically for negative arguments
-        for kappa in (0.35, 0.5, 0.85):
+        for kappa in (0.35, 0.5, 0.85, 0.999, 1 - 1e-9):
             z = -np.geomspace(0.5, 120.0, 4000)[::-1]
             vals = np.atleast_1d(mittag_leffler(kappa, z))
             assert np.all(np.diff(vals) >= -1e-15)
@@ -297,15 +301,3 @@ class TestKernels:
         want_nodes, want_weights = _mp_legendre_rule(order)
         assert_allclose(nodes, want_nodes, rtol=0, atol=2e-16)
         assert_allclose(weights, want_weights, rtol=1e-14)
-
-    def test_reciprocal_gamma_zero_at_poles(self):
-        # kappa 0.5: t = 1 - m/2 is a pole of Gamma for every even m
-        t = 1.0 - 0.5 * np.arange(1, 15)
-        got = _reciprocal_gamma(t)
-        assert np.all(got[1::2] == 0.0)
-        assert_allclose(got[::2], rgamma(t[::2]), rtol=1e-14)
-
-    @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.7, 0.9])
-    def test_reciprocal_gamma_against_scipy(self, kappa):
-        t = 1.0 - kappa * np.arange(1, 15)
-        assert_allclose(_reciprocal_gamma(t), rgamma(t), rtol=1e-14)
