@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import io
 import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -179,6 +178,24 @@ def _empirical_cumulants(values: np.ndarray) -> dict:
     }
 
 
+_PARAMETERS = ("mu", "sigma2", "kappa")
+
+
+def _model_entry(model: str, estimates, se, cumulants, **extra) -> dict:
+    """One model of the fit report: (mu, sigma2, kappa) estimates and their
+    standard errors, a NaN one written as None, and the fitted (mean,
+    variance, skewness, excess kurtosis); ``extra`` adds fields."""
+    return {
+        "model": model,
+        "estimates": dict(zip(_PARAMETERS, estimates)),
+        "se": {p: None if math.isnan(v) else float(v) for p, v in zip(_PARAMETERS, se)},
+        "fitted_cumulants": dict(
+            zip(("mean", "variance", "skewness", "excess_kurtosis"), cumulants)
+        ),
+        **extra,
+    }
+
+
 def fit_models(series: ReturnsSeries, models: tuple[str, ...]) -> dict:
     """Fit the requested models and assemble the comparison report."""
     values = series.values
@@ -190,82 +207,40 @@ def fit_models(series: ReturnsSeries, models: tuple[str, ...]) -> dict:
     for model in models:
         if model == "nml":
             fit = mm_fit(MomentSummary.from_sample(values))
-            cum = fitted_cumulants(fit)
-            report_models.append(
-                {
-                    "model": "nml",
-                    "estimates": {
-                        "mu": fit.mu_hat,
-                        "sigma2": fit.sigma2_hat,
-                        "kappa": fit.kappa_hat,
-                    },
-                    "se": {
-                        p: None if math.isnan(v) else float(v)
-                        for p, v in zip(("mu", "sigma2", "kappa"), fit.se)
-                    },
-                    "boundary_flag": fit.boundary_flag.value,
-                    "fitted_cumulants": {
-                        "mean": cum.mean,
-                        "variance": cum.variance,
-                        "skewness": cum.skewness,
-                        "excess_kurtosis": cum.excess_kurtosis,
-                    },
-                }
+            entry = _model_entry(
+                "nml",
+                (fit.mu_hat, fit.sigma2_hat, fit.kappa_hat),
+                fit.se,
+                astuple(fitted_cumulants(fit)),
+                boundary_flag=fit.boundary_flag.value,
             )
         elif model == "normal":
             mu = float(values.mean())
             s2 = float(values.var())
-            report_models.append(
-                {
-                    "model": "normal",
-                    "estimates": {"mu": mu, "sigma2": s2, "kappa": 1.0},
-                    "se": {
-                        "mu": math.sqrt(s2 / n),
-                        "sigma2": math.sqrt(2.0 * s2 * s2 / n),
-                        "kappa": None,
-                    },
-                    "fitted_cumulants": {
-                        "mean": mu,
-                        "variance": s2,
-                        "skewness": 0.0,
-                        "excess_kurtosis": 0.0,
-                    },
-                }
+            entry = _model_entry(
+                "normal",
+                (mu, s2, 1.0),
+                (math.sqrt(s2 / n), math.sqrt(2.0 * s2 * s2 / n), math.nan),
+                (mu, s2, 0.0, 0.0),
             )
         elif model == "laplace":
             mu = float(values.mean())
             b = float(np.abs(values - mu).mean())
             if b == 0.0:
                 raise EstimationError("degenerate sample: zero absolute deviation")
-            report_models.append(
-                {
-                    "model": "laplace",
-                    "estimates": {"mu": mu, "sigma2": b * b, "kappa": 0.0},
-                    "se": {
-                        "mu": b / math.sqrt(n),
-                        "sigma2": 2.0 * b * b / math.sqrt(n),
-                        "kappa": None,
-                    },
-                    "fitted_cumulants": {
-                        "mean": mu,
-                        "variance": 2.0 * b * b,
-                        "skewness": 0.0,
-                        "excess_kurtosis": 3.0,
-                    },
-                    "note": "sigma2 is the squared scale b^2 of density "
-                    "exp(-|x-mu|/b)/(2b); the implied variance is 2*b^2, and "
-                    "standard errors are the large-sample likelihood ones",
-                }
+            entry = _model_entry(
+                "laplace",
+                (mu, b * b, 0.0),
+                (b / math.sqrt(n), 2.0 * b * b / math.sqrt(n), math.nan),
+                (mu, 2.0 * b * b, 0.0, 3.0),
+                note="sigma2 is the squared scale b^2 of density "
+                "exp(-|x-mu|/b)/(2b); the implied variance is 2*b^2, and "
+                "standard errors are the large-sample likelihood ones",
             )
         else:
             raise DomainError(f"unknown model {model!r}")
-    return {
-        "schema": SCHEMA_TAG,
-        "kind": "fit_report",
-        "n": n,
-        "empirical": emp,
-        "models": report_models,
-    }
+        report_models.append(entry)
+    return {"kind": "fit_report", "n": n, "empirical": emp, "models": report_models}
 
 
 def _format_fit_table(report: dict) -> str:
@@ -404,7 +379,7 @@ def _json_pieces(payload: dict):
     return pieces()
 
 
-# (payload key, CSV header) of each column, per report kind
+# (payload key, CSV header) of each column of the reports made of arrays
 _CSV_COLUMNS = {
     "ml_eval": (("z", "z"), ("value", "value")),
     "density_grid": (("x", "x"), ("density", "density")),
@@ -413,48 +388,47 @@ _CSV_COLUMNS = {
     "returns_series": (("dates", "date"), ("values", "log_return")),
     "convergence": (("grid", "rate"), ("ks", "ks")),
 }
+_MC_COUNTS = ("n", "replications", "clamped_low", "clamped_high")
+_MC_GROUPS = ("mean_est", "rmse", "se_empirical", "se_theoretical")
 
 
-def _table_csv(payload: dict) -> str:
-    """CSV of the reports whose rows are records: mc_tables and fit_report."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if payload["kind"] == "mc_tables":
-        names = ("mu", "sigma2", "kappa")
-        header = ["kappa", "n", "replications", "clamped_low", "clamped_high"]
-        for group in ("mean_est", "rmse", "se_empirical", "se_theoretical"):
-            header += [f"{group}_{p}" for p in names]
-        writer.writerow(header)
-        for cell in payload["cells"]:
-            row = [cell["kappa"], cell["n"], cell["replications"],
-                   cell["clamped_low"], cell["clamped_high"]]
-            for group in ("mean_est", "rmse", "se_empirical", "se_theoretical"):
-                row += [_fmt_num(cell[group][p]) for p in names]
-            writer.writerow(row)
-    else:
-        writer.writerow(["model", "parameter", "estimate", "se"])
-        for m in payload["models"]:
-            for p, v in m["estimates"].items():
-                writer.writerow([m["model"], p, _fmt_num(v), _fmt_num(m["se"].get(p))])
-    return buf.getvalue()
+def _csv_columns(payload: dict) -> list:
+    """(CSV header, values) of each column of the report.  The record
+    reports become columns: mc_tables one row per cell, fit_report one row
+    per (model, parameter), with a None se as NaN."""
+    kind = payload["kind"]
+    if kind == "mc_tables":
+        cells = payload["cells"]
+        return (
+            [("kappa", np.array([c["kappa"] for c in cells], dtype=float))]
+            + [(k, np.array([c[k] for c in cells], dtype=np.int64)) for k in _MC_COUNTS]
+            + [
+                (f"{g}_{p}", np.array([c[g][p] for c in cells], dtype=float))
+                for g in _MC_GROUPS
+                for p in _PARAMETERS
+            ]
+        )
+    if kind == "fit_report":
+        rows = [(m, p) for m in payload["models"] for p in m["estimates"]]
+        return [
+            ("model", [m["model"] for m, _ in rows]),
+            ("parameter", [p for _, p in rows]),
+            ("estimate", np.array([m["estimates"][p] for m, p in rows], dtype=float)),
+            ("se", np.array([m["se"].get(p) for m, p in rows], dtype=float)),
+        ]
+    return [(header, payload[key]) for key, header in _CSV_COLUMNS[kind]]
 
 
 def _csv_pieces(payload: dict):
     """The report as CSV, in pieces.  Columns are arrays, or lists of ISO
-    dates, none of which needs quoting; NaN is an empty field, written ""
-    when it is the row's only field, as csv.writer does."""
-    kind = payload["kind"]
-    if kind in ("mc_tables", "fit_report"):
-        return iter([_table_csv(payload)])
-    if kind not in _CSV_COLUMNS:
-        raise DomainError(f"no CSV form for {kind!r} output")
-    keys, headers = zip(*_CSV_COLUMNS[kind])
-    nan = '""' if len(keys) == 1 else ""
+    dates and names, none of which needs quoting; NaN is an empty field,
+    written "" when it is the row's only field, as csv.writer does."""
+    headers, columns = zip(*_csv_columns(payload))
+    nan = '""' if len(columns) == 1 else ""
 
     def pieces():
         yield ",".join(headers) + "\n"
-        columns = (_value_rows(payload[k], nan, "inf", "-inf") for k in keys)
-        for rows in zip(*columns):
+        for rows in zip(*(_value_rows(c, nan, "inf", "-inf") for c in columns)):
             parts = [part for r in rows for part in (r, ",")]
             parts[-1] = "\n"
             yield _join_rows(parts)
@@ -462,19 +436,13 @@ def _csv_pieces(payload: dict):
     return pieces()
 
 
-def _fmt_num(v):
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        return "" if math.isnan(f) else repr(f)
-    return v
-
-
-def _emit(payload: dict, args, text: str | None = None) -> None:
-    """Write the report (json or csv) to --out or stdout; optional aligned
-    text goes to stdout, or stderr when stdout carries the report."""
+def _emit(payload: dict, args) -> None:
+    """Write the report, tagged with the schema, as json or csv to --out or
+    stdout.  A fit report's aligned table goes to stdout, or to stderr when
+    stdout carries the report."""
+    payload["schema"] = SCHEMA_TAG
     pieces = _json_pieces(payload) if args.format == "json" else _csv_pieces(payload)
+    text = _format_fit_table(payload) if payload["kind"] == "fit_report" else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
@@ -508,20 +476,10 @@ def _parse_list(spec: str, kind=float) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ml_eval(args) -> int:
+def cmd_ml_eval(args) -> dict:
     z = _parse_grid(args.grid) if args.grid else np.array([args.z], dtype=float)
     values = np.atleast_1d(mittag_leffler(args.kappa, z))
-    _emit(
-        {
-            "schema": SCHEMA_TAG,
-            "kind": "ml_eval",
-            "kappa": args.kappa,
-            "z": z,
-            "value": values,
-        },
-        args,
-    )
-    return 0
+    return {"kind": "ml_eval", "kappa": args.kappa, "z": z, "value": values}
 
 
 def _law_from_args(args):
@@ -542,80 +500,40 @@ def _law_from_args(args):
     return cls(**params), params
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> dict:
     x = _parse_grid(args.grid)
     law, params = _law_from_args(args)
     density = np.atleast_1d(law.density(x))
-    _emit(
-        {
-            "schema": SCHEMA_TAG,
-            "kind": "density_grid",
-            "dist": args.dist,
-            "parameters": params,
-            "x": x,
-            "density": density,
-        },
-        args,
-    )
-    return 0
+    return {"kind": "density_grid", "dist": args.dist, "parameters": params,
+            "x": x, "density": density}
 
 
-def cmd_pmf(args) -> int:
+def cmd_pmf(args) -> dict:
     if args.max < 0:
         raise DomainError("--max must be nonnegative")
     n = np.arange(args.max + 1)
     law, params = _law_from_args(args)
     pmf = np.atleast_1d(law.pmf(n))
-    _emit(
-        {
-            "schema": SCHEMA_TAG,
-            "kind": "pmf_grid",
-            "dist": args.dist,
-            "parameters": params,
-            "n": n,
-            "pmf": pmf,
-        },
-        args,
-    )
-    return 0
+    return {"kind": "pmf_grid", "dist": args.dist, "parameters": params, "n": n, "pmf": pmf}
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> dict:
     if args.n < 1:
         raise DomainError("--n must be positive")
     rng = RngStream(args.seed if args.seed is not None else 0)
     law, params = _law_from_args(args)
-    values = law.sample(rng, args.n)
-    _emit(
-        {
-            "schema": SCHEMA_TAG,
-            "kind": "samples",
-            "dist": args.dist,
-            "parameters": params,
-            "seed": rng.seed,
-            "values": np.asarray(values),
-        },
-        args,
-    )
-    return 0
+    values = np.asarray(law.sample(rng, args.n))
+    return {"kind": "samples", "dist": args.dist, "parameters": params,
+            "seed": rng.seed, "values": values}
 
 
-def cmd_returns(args) -> int:
-    header, rows = _read_csv_rows(args.prices, (("date", "close"),))
+def cmd_returns(args) -> dict:
+    _, rows = _read_csv_rows(args.prices, (("date", "close"),))
     series = returns_from_prices(rows)
-    _emit(
-        {
-            "schema": SCHEMA_TAG,
-            "kind": "returns_series",
-            "dates": list(series.dates),
-            "values": series.values,
-        },
-        args,
-    )
-    return 0
+    return {"kind": "returns_series", "dates": list(series.dates), "values": series.values}
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> dict:
     if args.demo and args.returns:
         raise DomainError("fit takes a returns/prices CSV or --demo, not both")
     if args.seed is not None and not args.demo:
@@ -629,13 +547,10 @@ def cmd_fit(args) -> int:
         series = load_series(args.returns)
         source = args.returns
     models = _parse_list(args.models, str)
-    report = fit_models(series, models)
-    report["source"] = source
-    _emit(report, args, text=_format_fit_table(report))
-    return 0
+    return {**fit_models(series, models), "source": source}
 
 
-def cmd_mc_tables(args) -> int:
+def cmd_mc_tables(args) -> dict:
     config = McExperimentConfig(
         mu=args.mu,
         sigma2=args.sigma2,
@@ -645,17 +560,10 @@ def cmd_mc_tables(args) -> int:
         base_seed=args.seed if args.seed is not None else 0,
     )
     cells = run_mc_tables(config)
-    payload = {
-        "schema": SCHEMA_TAG,
-        "kind": "mc_tables",
-        "config": asdict(config),
-        "cells": [asdict(c) for c in cells],
-    }
-    _emit(payload, args)
-    return 0
+    return {"kind": "mc_tables", "config": asdict(config), "cells": [asdict(c) for c in cells]}
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> dict:
     unused = {"fp": "eta", "comp": "kappa"}[args.sweep]
     if getattr(args, unused) is not None:
         raise DomainError(f"converge {args.sweep} does not take --{unused}")
@@ -669,19 +577,14 @@ def cmd_converge(args) -> int:
         kappa=args.kappa,
         eta=args.eta,
     )
-    _emit(
-        {
-            "schema": SCHEMA_TAG,
-            "kind": "convergence",
-            "sweep": report.kind,
-            "target": report.target,
-            "grid": np.asarray(report.parameter_grid, dtype=float),
-            "ks": np.asarray(report.distances, dtype=float),
-            "draws_per_point": report.draws_per_point,
-        },
-        args,
-    )
-    return 0
+    return {
+        "kind": "convergence",
+        "sweep": report.kind,
+        "target": report.target,
+        "grid": np.asarray(report.parameter_grid, dtype=float),
+        "ks": np.asarray(report.distances, dtype=float),
+        "draws_per_point": report.draws_per_point,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +711,8 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", None)
         if seed is not None and not 0 <= seed < 2**64:
             raise DomainError("--seed must be an unsigned 64-bit integer")
-        return args.handler(args)
+        _emit(args.handler(args), args)
+        return 0
     except DomainError as exc:
         print(f"fpsum: usage error: {exc}", file=sys.stderr)
         return 2

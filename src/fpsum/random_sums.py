@@ -222,17 +222,20 @@ def _run_on_cpus(count: int, task: Callable[[int], None]) -> None:
     """
     todo = deque(range(count))  # popped from the right
 
+    def run(i: int) -> None:
+        try:
+            task(i)
+        except BaseException:
+            todo.clear()
+            raise
+
     def run_tasks() -> None:
         while True:
             try:
                 i = todo.pop()
             except IndexError:
                 return
-            try:
-                task(i)
-            except BaseException:
-                todo.clear()
-                raise
+            run(i)
 
     # the calling thread runs tasks too: each helper thread gets its own
     # malloc arena, which shows in peak memory
@@ -243,7 +246,11 @@ def _run_on_cpus(count: int, task: Callable[[int], None]) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(helpers) as pool:
+            # it takes its first index before the helpers start, so it runs
+            # at least one task however the threads are scheduled
+            first = todo.pop()
             started = [pool.submit(run_tasks) for _ in range(helpers)]
+            run(first)
             run_tasks()
             for future in started:
                 future.result()

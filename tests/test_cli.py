@@ -431,6 +431,47 @@ def _reference_csv(payload, columns):
     return buf.getvalue()
 
 
+_NAMES = ("mu", "sigma2", "kappa")
+_GROUPS = ("mean_est", "rmse", "se_empirical", "se_theoretical")
+
+
+def _reference_record_csv(payload):
+    """The row-by-row writer of the record reports, mc_tables and fit_report."""
+    def fmt(v):
+        if v is None:
+            return ""
+        if isinstance(v, (float, np.floating)):
+            return "" if math.isnan(v) else repr(float(v))
+        return v
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if payload["kind"] == "mc_tables":
+        counts = ["n", "replications", "clamped_low", "clamped_high"]
+        writer.writerow(["kappa"] + counts + [f"{g}_{p}" for g in _GROUPS for p in _NAMES])
+        for cell in payload["cells"]:
+            writer.writerow([cell["kappa"]] + [cell[k] for k in counts]
+                            + [fmt(cell[g][p]) for g in _GROUPS for p in _NAMES])
+    else:
+        writer.writerow(["model", "parameter", "estimate", "se"])
+        for m in payload["models"]:
+            for p, v in m["estimates"].items():
+                writer.writerow([m["model"], p, fmt(v), fmt(m["se"].get(p))])
+    return buf.getvalue()
+
+
+def _mc_cell(kappa, n, seed):
+    rng = np.random.default_rng(seed)
+    stats = {g: dict(zip(_NAMES, rng.standard_normal(3) * 10.0 ** rng.integers(-9, 9, 3)))
+             for g in _GROUPS}
+    return {"kappa": kappa, "n": n, "replications": np.int64(500), "clamped_low": 17,
+            "clamped_high": 0, **stats}
+
+
+def _fit_model(model, estimates, se):
+    return {"model": model, "estimates": dict(zip(_NAMES, estimates)), "se": dict(zip(_NAMES, se))}
+
+
 def _odd_floats(n, seed):
     values = np.random.default_rng(seed).standard_normal(n) * 10.0 ** (np.arange(n) % 40 - 20)
     values[::7] = np.nan
@@ -475,6 +516,28 @@ class TestReportWriters:
     )
     def test_csv(self, payload, columns):
         assert "".join(_csv_pieces(payload)) == _reference_csv(payload, columns)
+
+    def test_mc_tables_csv(self):
+        cells = [_mc_cell(0.2, 200, 1), _mc_cell(0.8, 2000, 2), _mc_cell(0.05, 500, 3)]
+        cells[1]["se_theoretical"]["kappa"] = np.nan
+        cells[2]["mean_est"]["kappa"] = np.float64(np.nan)
+        cells[2]["rmse"]["sigma2"] = np.inf
+        payload = {"kind": "mc_tables", "config": {}, "cells": cells}
+        text = "".join(_csv_pieces(payload))
+        assert text == _reference_record_csv(payload)
+        assert [len(line.split(",")) for line in text.splitlines()] == [17] * 4
+
+    def test_fit_report_csv(self):
+        models = [
+            # a clamped_low nml fit: no se for sigma2 and kappa
+            _fit_model("nml", (np.float64(1e-4), 2.5e-5, 1e-06), (np.float64(3e-6), None, None)),
+            _fit_model("normal", (1e-4, 1.8e-4, 1.0), (2.1e-6, 5.4e-6, None)),
+            _fit_model("laplace", (-0.0, 9e-5, 0.0), (2e-6, np.inf, None)),
+        ]
+        payload = {"kind": "fit_report", "n": 2226, "empirical": {}, "models": models}
+        text = "".join(_csv_pieces(payload))
+        assert text == _reference_record_csv(payload)
+        assert text.splitlines()[3] == "nml,kappa,1e-06,"
 
     def test_lone_nan_field_is_quoted(self):
         text = "".join(_csv_pieces({"kind": "samples", "values": np.array([1.5, np.nan])}))

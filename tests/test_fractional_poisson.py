@@ -237,12 +237,18 @@ class TestPgf:
             total = float(law.pmf(n) @ s ** n.astype(float))
             assert_allclose(total, law.pgf(s), atol=1e-8, rtol=1e-8)
 
-    @pytest.mark.parametrize("kappa", [0.99, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-9])
-    def test_pmf_sums_to_pgf_near_one(self, kappa):
+    @pytest.mark.parametrize(
+        "nu, kappa",
+        [pytest.param(10.0, k, id=str(k)) for k in (0.99, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-9)]
+        + [(1.0, 0.6), (2.0, 0.7), (10.0, 0.9)],
+    )
+    def test_pmf_sums_to_pgf_near_one(self, nu, kappa):
         # sum_n s**n P(N = n) = E_k(nu (s - 1)): the mixture pmf against the
         # cut integral, two routes that share no nodes; the scale on the
-        # right absorbs the cancellation of the alternating sum at s < 0
-        law = FractionalPoissonLaw(10.0, kappa)
+        # right absorbs the cancellation of the alternating sum at s < 0.
+        # At mid kappa the points with |nu (s - 1)|**(1/kappa) <= 4.6 take
+        # the power series of E_k instead.
+        law = FractionalPoissonLaw(nu, kappa)
         pmf = law.pmf(np.arange(4000))
         for s in [-1.0, -0.5, 0.0, 0.3, 0.5, 0.9]:
             powers = s ** np.arange(4000.0)
