@@ -41,7 +41,8 @@ independent of the library's own evaluation paths:
                    (``nml_density_split_mp``), which needs no mixing density.
 * ``ml_seams``  -- E_k on both sides of each seam of the library's branch
                    dispatch, at z placed from its module constants, by the
-                   ``ml`` oracle.
+                   ``ml`` oracle; the negative series seam sits at the
+                   former budget of 4.6 (``_FORMER_SERIES_BUDGET``).
 * ``fp_pmf_long`` -- the fractional Poisson series at counts 96 to 2978,
                    with guard digits set from its largest term
                    (``fp_pmf_long_mp``); ~20 s.
@@ -53,20 +54,24 @@ independent of the library's own evaluation paths:
                    0.9 by the series, with kappa and u read as exact binary
                    values, not their decimal repr.
 * ``ml_near_one`` -- E_k(-x) at kappa 0.995 to 1 - 1e-9 by the ``ml``
-                   series, from past the series budget to x = 150, with
-                   kappa and z read as their exact binary values.
+                   series, from past the former series budget to x = 150,
+                   with kappa and z read as their exact binary values.
+* ``ml_series_seams`` -- E_k(-x) 1 and 2 % to either side of the series
+                   budget on the negative axis, at kappa 0.01 to 0.99, by
+                   the ``ml`` series, with kappa and z read as their exact
+                   binary values.
 * ``h_inverse`` -- roots of h(k) = Gamma(k+1)^2 / Gamma(2k+1) = omega by
                    ``mp.findroot`` at 40 digits, for omega the double h at
                    60 kappas from 1e-5 to 1 and at four points near
                    omega = 1/2 and 1, each read as its exact binary value.
 
 Run:  python tests/data/make_reference.py  (writes reference.json next to it)
-      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long mixing_seams near_one_tight h_inverse ml_near_one
+      python tests/data/make_reference.py fp_pmf fp_pmf_near_one ml_seams fp_pmf_long mixing_seams near_one_tight h_inverse ml_near_one ml_series_seams
       (recomputes only those sections of ``SECTIONS`` and keeps the others
-      as they are; CI checks that these eight reproduce the frozen file).
-      ``ml_seams``, ``ml_near_one`` and ``mixing_seams`` read the seams
-      from the library's constants, so fpsum must be importable (installed,
-      or ``PYTHONPATH=src``).
+      as they are; CI checks that these nine reproduce the frozen file).
+      ``ml_seams``, ``ml_near_one``, ``ml_series_seams`` and
+      ``mixing_seams`` read the seams from the library's constants, so
+      fpsum must be importable (installed, or ``PYTHONPATH=src``).
 """
 
 import functools
@@ -661,10 +666,16 @@ def _exact_repr(z, bits=12):
     return z
 
 
+# the E_k series budget on the negative axis before it fell to 2.0:
+# ``ml_seams`` and ``ml_near_one`` keep their points placed from it, and the
+# cut integral now answers on both sides of it
+_FORMER_SERIES_BUDGET = 4.6
+
+
 def ml_seams_section():
     """[kappa, z, E_k(z)] rows 2 % to either side of each seam of
     ``mittag_leffler``'s dispatch, placed from the library's constants:
-    the series budget |z|**(1/k) on the negative axis and its bound on the
+    the former series budget |z|**(1/k) on the negative axis and the bound on the
     positive one, the cut integral's smallest |z|, the asymptotic
     threshold, and kappa on both sides of 0.35, where the cut integral
     once switched rules.  Rounding z to 12 bits moves it by < 1.3e-4 relative, well
@@ -675,7 +686,7 @@ def ml_seams_section():
     for kap in [0.05, 0.2, 0.5, 0.8, 0.99]:
         for f in (0.98, 1.02):
             points += [
-                (kap, -(f * sf._SERIES_EXPONENT_BUDGET) ** kap),
+                (kap, -(f * _FORMER_SERIES_BUDGET) ** kap),
                 (kap, (f * sf._POSITIVE_SERIES_EXPONENT_MAX) ** kap),
                 (kap, -f * sf._SPECTRAL_X_MIN),
                 (kap, -f * sf._ASYMPTOTIC_THRESHOLD),
@@ -690,18 +701,33 @@ def ml_seams_section():
 def ml_near_one_section():
     """[kappa, z, E_k(z)] rows at kappa 0.995 to 1 - 1e-9, where 1/D in the
     cut integral has a pole narrower than its shared panels: 16 x from 2 %
-    past the series budget to 60, 2 % to either side of the asymptotic
+    past the former series budget to 60, 2 % to either side of the asymptotic
     threshold, and x = 150, where the expansion takes over.  kappa and z
     are read as their exact binary values (z rounded to 12 bits); ~3 s."""
     from fpsum import special_functions as sf
 
     rows = []
     for kap in [0.995, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-9]:
-        lo = 1.02 * sf._SERIES_EXPONENT_BUDGET**kap
+        lo = 1.02 * _FORMER_SERIES_BUDGET**kap
         xs = [lo * (60.0 / lo) ** (i / 15) for i in range(16)]
         xs += [0.98 * sf._ASYMPTOTIC_THRESHOLD, 1.02 * sf._ASYMPTOTIC_THRESHOLD, 150.0]
         for x in xs:
             z = _exact_repr(-x)
+            rows.append([kap, z, float(ml_series_mp(mp.mpf(kap), mp.mpf(z)))])
+    return rows
+
+
+def ml_series_seams_section():
+    """[kappa, z, E_k(z)] rows at |z|**(1/k) 1 and 2 % to either side of
+    ``_SERIES_EXPONENT_BUDGET``, where ``mittag_leffler`` hands a negative
+    z from its power series to the cut integral, placed from the library's
+    constant.  kappa and z are read as their exact binary values."""
+    from fpsum import special_functions as sf
+
+    rows = []
+    for kap in [0.01, 0.05, 0.2, 0.5, 0.8, 0.99]:
+        for f in (0.98, 0.99, 1.01, 1.02):
+            z = -(f * sf._SERIES_EXPONENT_BUDGET) ** kap
             rows.append([kap, z, float(ml_series_mp(mp.mpf(kap), mp.mpf(z)))])
     return rows
 
@@ -753,6 +779,7 @@ SECTIONS = {
     "fp_pmf_near_one": fp_pmf_near_one_section,
     "ml_seams": ml_seams_section,
     "ml_near_one": ml_near_one_section,
+    "ml_series_seams": ml_series_seams_section,
     "fp_pmf_long": fp_pmf_long_section,
     "mixing_seams": mixing_seams_section,
     "near_one_tight": mixing_near_one_tight_section,

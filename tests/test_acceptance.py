@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The full-size Monte
-Carlo table reproduction is opt-in via FPSUM_LONG_RUN=1 (several minutes).
+Carlo table reproduction is opt-in via FPSUM_LONG_RUN=1 (~10 s on 2 cores).
 """
 
 import json
@@ -275,7 +275,7 @@ def test_criterion_9_market_fit(tmp_path):
 
 
 # Table 1 at full size: 0.00021-style bands are checked cell by cell against
-# the published grid.  Opt-in: FPSUM_LONG_RUN=1 (several minutes).
+# the published grid.  Opt-in: FPSUM_LONG_RUN=1 (~10 s on 2 cores).
 _TABLE1_KAPPA_MEANS = {
     (0.2, 200): 0.5138, (0.2, 500): 0.4261, (0.2, 1000): 0.3557, (0.2, 2000): 0.3056,
     (0.3, 200): 0.5390, (0.3, 500): 0.4454, (0.3, 1000): 0.3952, (0.3, 2000): 0.3517,

@@ -240,13 +240,13 @@ class TestPgf:
     @pytest.mark.parametrize(
         "nu, kappa",
         [pytest.param(10.0, k, id=str(k)) for k in (0.99, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-9)]
-        + [(1.0, 0.6), (2.0, 0.7), (10.0, 0.9)],
+        + [(1.0, 0.6), (2.0, 0.7), (3.0, 0.8), (10.0, 0.9)],
     )
     def test_pmf_sums_to_pgf_near_one(self, nu, kappa):
         # sum_n s**n P(N = n) = E_k(nu (s - 1)): the mixture pmf against the
         # cut integral, two routes that share no nodes; the scale on the
         # right absorbs the cancellation of the alternating sum at s < 0.
-        # At mid kappa the points with |nu (s - 1)|**(1/kappa) <= 4.6 take
+        # At mid kappa the points with |nu (s - 1)|**(1/kappa) <= 2 take
         # the power series of E_k instead.
         law = FractionalPoissonLaw(nu, kappa)
         pmf = law.pmf(np.arange(4000))

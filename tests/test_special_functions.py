@@ -15,6 +15,8 @@ from fpsum.special_functions import (
     _digamma,
     _legendre,
     _log_gamma,
+    _series_many,
+    _series_one,
     _sum_series,
     mittag_leffler,
 )
@@ -61,6 +63,10 @@ class TestMittagLeffler:
     def test_seams_against_reference(self, reference):
         # both sides of every seam of the branch dispatch
         _check_both_doors(reference["ml_seams"], 1e-11)
+
+    def test_series_seams_against_reference(self, reference):
+        # 1 and 2 % to either side of the series budget on the negative axis
+        _check_both_doors(reference["ml_series_seams"], 1e-13)
 
     def test_near_one_against_reference(self, reference):
         # the cut integral where 1/D has a narrow pole, up to kappa 1 - 1e-9,
@@ -151,17 +157,39 @@ class TestOneValueDoor:
         scalar = np.array([mittag_leffler(kappa, v) for v in z.tolist()])
         assert np.array_equal(np.isinf(scalar), np.isinf(array))
         assert np.array_equal(scalar == 0.0, array == 0.0)
-        finite = np.isfinite(array) & (array != 0.0)
-        s, a, zf = scalar[finite], array[finite], z[finite]
+        # where the series converges, both doors sum the same terms: the
+        # same bits.  Elsewhere a 1-value and an n-value product over the
+        # cut integral's nodes may differ in the last bit, as may math.exp
+        # and np.exp at kappa 1
         with np.errstate(over="ignore"):
-            exponent = np.abs(zf) ** (1.0 / kappa)
-        series = np.where(zf < 0, exponent <= _SERIES_EXPONENT_BUDGET,
+            exponent = np.abs(z) ** (1.0 / kappa)
+        series = np.where(z < 0, exponent <= _SERIES_EXPONENT_BUDGET,
                           exponent < _POSITIVE_SERIES_EXPONENT_MAX)
-        # the series' own cancellation scale: math.exp and np.exp differ in
-        # the last bit, and the terms reach ~exp(|z|**(1/k))
-        bound = 1e-15 * (np.exp(np.minimum(exponent, 700.0)) + np.abs(a))
-        assert np.all(np.abs(s - a)[series] <= bound[series])
-        assert np.all(np.abs(s - a)[~series] <= 1e-14 * np.abs(a)[~series])
+        summed = series & np.array([kappa < 1.0 and _series_one(kappa, v) is not None
+                                    for v in z.tolist()])
+        assert np.array_equal(scalar[summed], array[summed])
+        finite = np.isfinite(array) & (array != 0.0) & ~summed
+        s, a = scalar[finite], array[finite]
+        assert np.all(np.abs(s - a) <= 1e-14 * np.abs(a))
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 0.95, 0.99])
+    def test_series_paths_agree_bitwise(self, kappa):
+        # the running power, the 1/Gamma factors and the left fold round
+        # alike one term at a time and in blocks, on both axes and 1 %
+        # to either side of both bounds of the series region
+        seams = [f * b**kappa for b in (_SERIES_EXPONENT_BUDGET, _POSITIVE_SERIES_EXPONENT_MAX)
+                 for f in (0.99, 1.01)]
+        grid = np.concatenate((np.geomspace(1e-3, 15.0**kappa, 60), seams, [0.0, 1e-300]))
+        z = np.concatenate((-grid, grid))
+        many, failed = _series_many(kappa, z)
+        converged = 0
+        for v, value, gave_up in zip(z.tolist(), many.tolist(), failed.tolist()):
+            one = _series_one(kappa, v)
+            assert (one is None) == gave_up, v
+            if one is not None:
+                assert one == value, v
+                converged += 1
+        assert converged >= 60
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
