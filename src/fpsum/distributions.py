@@ -133,20 +133,34 @@ def _mixing_log_density(kappa: float, log_u: np.ndarray) -> np.ndarray:
     return out
 
 
+# Theta = 0 is a possible draw (probability 2**-53) at which V's sines are
+# 0; at half this half-angle V is at its Theta -> 0 limit to rounding, and
+# the smallest nonzero draw, pi/2 * 2**-53, is above it
+_HALF_ANGLE_FLOOR = np.pi / 2.0 * 2.0**-54
+
+
+def _log_mixing_rows(kappa: float, generators: list, n: int) -> np.ndarray:
+    """log U of the mixing law, kappa < 1, as (1-k) log W - V(Theta): one row
+    of n per generator, each of which draws Theta then W; the rows are
+    transformed together, W in the buffer of Theta."""
+    buf = np.empty((len(generators), n))
+    for gen, row in zip(generators, buf):
+        gen.random(out=row)
+    buf *= np.pi / 2.0  # Theta/2 for Theta uniform(0, pi), bit for bit
+    np.maximum(buf, _HALF_ANGLE_FLOOR, out=buf)
+    v = _kanter_log(kappa, buf)
+    for gen, row in zip(generators, buf):
+        gen.standard_exponential(out=row)
+    np.log(buf, out=buf)
+    buf *= 1.0 - kappa
+    buf -= v
+    return buf
+
+
 def _mixing_rows(kappa: float, generators: list, n: int) -> np.ndarray:
-    """Draws U of the mixing law, kappa < 1: one row of n per generator, each
-    of which draws Theta then W; U is formed for all rows at once, in the
-    buffer of W."""
-    theta = np.empty((len(generators), n))
-    w = np.empty_like(theta)
-    for gen, theta_row, w_row in zip(generators, theta, w):
-        gen.random(out=theta_row)
-        gen.standard_exponential(out=w_row)
-    theta *= np.pi  # uniform(0, pi) bit for bit
-    np.log(w, out=w)
-    w -= _kanter_log(kappa, theta)
-    w *= 1.0 - kappa
-    return np.exp(w, out=w)
+    """Draws U of the mixing law, kappa < 1, one row of n per generator."""
+    log_u = _log_mixing_rows(kappa, generators, n)
+    return np.exp(log_u, out=log_u)
 
 
 def _nml_rows(kappa: float, mu: float, sigma: float, generators: list, n: int) -> np.ndarray:
@@ -154,7 +168,9 @@ def _nml_rows(kappa: float, mu: float, sigma: float, generators: list, n: int) -
     U (kappa < 1) then Z; the rows are transformed together."""
     scale = sigma
     if kappa != 1.0:
-        scale = np.sqrt(_mixing_rows(kappa, generators, n))
+        scale = _log_mixing_rows(kappa, generators, n)
+        scale *= 0.5
+        np.exp(scale, out=scale)  # sqrt(U)
         scale *= sigma
     x = np.empty((len(generators), n))
     for gen, row in zip(generators, x):
@@ -189,7 +205,9 @@ class MittagLefflerLaw:
 
     def sample(self, rng: RngStream, size=None):
         """Exact draws via U = (W / A(Theta))**(1-kappa) with Theta uniform on
-        (0, pi) and W unit exponential (one-sided stable transformation)."""
+        (0, pi) and W unit exponential (Kanter's one-sided stable
+        transformation), formed as exp((1-kappa) log W - V(Theta)) with V =
+        (1-kappa) log A from half-angle tangents (``_kanter_log``)."""
         n = size if size is not None else 1
         if self.kappa == 1.0:
             out = np.ones(n)

@@ -392,18 +392,49 @@ def _asymptotic_many(kappa: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return partial[rows, cut], bounds[rows, cut]
 
 
-def _kanter_log(kappa: float, theta: np.ndarray) -> np.ndarray:
-    """log of the Kanter function A(theta) on (0, pi), for the sampler.
+def _kanter_log(kappa: float, half: np.ndarray) -> np.ndarray:
+    """V = (1-k) log A(theta) at the half-angles ``half`` = theta/2 in (0, pi/2),
+    for the sampler.
 
     A(theta) = sin(k*theta)**(k/(1-k)) * sin((1-k)*theta) / sin(theta)**(1/(1-k))
-    increases from A(0+) = (1-k) * k**(k/(1-k)).  U = (W/A)**(1-k) needs (1-k) log A to
-    absolute rounding only: cheaper than ``_kanter_v`` (49 against 66 ms per 1e6 angles).
+    increases from A(0+) = (1-k) * k**(k/(1-k)).  U = (W/A)**(1-k) needs V to
+    absolute rounding only.  With {a, b} = {k, 1-k}, b <= 1/2, and a + b = 1,
+    V = a log(sin(a theta)/sin theta) + b log(sin(b theta)/sin theta), and the
+    sines come from the half-angle tangents T = tan(theta/2), t = tan(b theta/2)
+    and r = t/T <= 1/2: sin x = 2 tan(x/2)/(1 + tan(x/2)**2), with the tangent
+    of a theta/2 = theta/2 - b theta/2 by the difference formula, gives
+
+        sin(b theta)/sin theta = r (1 + T**2) / (1 + t**2)
+        sin(a theta)/sin theta = (1 - r) (1 + T t) / (1 + t**2).
+
+    Every factor is a sum or product of positives, or 1 - r >= 1/2, so V
+    stays within a few ulp of its largest log at every kappa and theta, up to
+    theta = pi where T reaches 1.6e16; at theta -> 0 the ratios tend to b
+    and a.  numpy's float64 tan runs as a SIMD loop on CPUs with AVX-512,
+    where its sin is a scalar one.
     """
-    return (
-        kappa / (1.0 - kappa) * np.log(np.sin(kappa * theta))
-        + np.log(np.sin((1.0 - kappa) * theta))
-        - np.log(np.sin(theta)) / (1.0 - kappa)
-    )
+    a, b = max(kappa, 1.0 - kappa), min(kappa, 1.0 - kappa)
+    r = np.tan(np.multiply(half, b))
+    big = np.tan(half)  # T
+    r /= big
+    big *= big  # T**2
+    den = np.square(r)
+    den *= big
+    den += 1.0  # 1 + t**2
+    v = np.multiply(r, big)
+    v += 1.0  # 1 + T t
+    big += 1.0
+    big *= r
+    big /= den
+    np.log(big, out=big)
+    big *= b
+    np.subtract(1.0, r, out=r)
+    v *= r
+    v /= den
+    np.log(v, out=v)
+    v *= a
+    v += big
+    return v
 
 
 def _kanter_v(kappa: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

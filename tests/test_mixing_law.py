@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,9 +11,30 @@ from fpsum.distributions import (
     MittagLefflerLaw,
     RngStream,
     _mixing_nodes,
+    _mixing_rows,
+    _nml_rows,
 )
 from fpsum.errors import DomainError, EvaluationError
-from fpsum.special_functions import _mixing_density_log, mittag_leffler
+from fpsum.special_functions import _kanter_log, _mixing_density_log, mittag_leffler
+
+_SAMPLER_KAPPAS = [1e-3, 0.05, 0.3, 0.5, 0.8, 0.97, 1.0 - 1e-9]
+
+
+class _ZeroAngleGenerator:
+    """Stands in for a numpy Generator whose uniform draws are all 0.0, a
+    possible draw; its exponential and normal draws are fixed."""
+
+    def __init__(self, w, z):
+        self.w, self.z = w, z
+
+    def random(self, out):
+        out[:] = 0.0
+
+    def standard_exponential(self, out):
+        out[:] = self.w
+
+    def standard_normal(self, out):
+        out[:] = self.z
 
 
 class TestDensity:
@@ -188,3 +210,35 @@ class TestSampler:
     def test_scalar_signature(self):
         val = MittagLefflerLaw(0.5).sample(RngStream(0))
         assert isinstance(val, float)
+
+    @pytest.mark.parametrize("kappa", _SAMPLER_KAPPAS)
+    def test_kanter_log_against_mpmath(self, kappa):
+        # V = (1-k) log A(theta) at 29 angles over (0, pi), to 1e-12 of
+        # both ends, against 150-bit mpmath at the exact theta = 2*half
+        ends = np.array([1e-12, 1e-9, 1e-6, 1e-3])
+        theta = np.concatenate((ends, np.linspace(0.01, np.pi - 0.01, 21), np.pi - ends[::-1]))
+        half = theta / 2.0
+        got = _kanter_log(kappa, half)
+        with mpmath.workprec(150):
+            k = mpmath.mpf(kappa)
+
+            def v(h):
+                t = 2 * mpmath.mpf(h)
+                return (k * mpmath.log(mpmath.sin(k * t))
+                        + (1 - k) * mpmath.log(mpmath.sin((1 - k) * t))
+                        - mpmath.log(mpmath.sin(t)))
+
+            want = np.array([float(v(h)) for h in half.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("kappa", _SAMPLER_KAPPAS)
+    def test_zero_angle_draw_takes_the_limit(self, kappa):
+        # Theta = 0: U = W**(1-k) / (k**k (1-k)**(1-k)), with no warning
+        w = np.array([1e-3, 0.5, 1.0, 2.0, 30.0])
+        z = np.array([-1.5, 0.25, 1.0, -0.5, 2.0])
+        c = 1.0 - kappa
+        want = np.exp(c * np.log(w) - kappa * math.log(kappa) - c * math.log(c))
+        got = _mixing_rows(kappa, [_ZeroAngleGenerator(w, z)], w.size)
+        assert_allclose(got[0], want, rtol=5e-15, atol=0.0)
+        got = _nml_rows(kappa, -1.5, 2.5, [_ZeroAngleGenerator(w, z)], w.size)
+        assert_allclose(got[0], -1.5 + 2.5 * np.sqrt(want) * z, rtol=5e-15, atol=0.0)
