@@ -495,10 +495,17 @@ class FractionalPoissonLaw:
         )
 
     def pgf(self, s):
-        """Probability generating function at |s| <= 1."""
+        """Probability generating function at finite s with |s| <= 1.  A
+        scalar s reaches E_k as a float, which takes its one-value door."""
+        if isinstance(s, (float, int)) or np.ndim(s) == 0:
+            s = float(s)
+            # not "abs(s) > 1": NaN would pass
+            if not abs(s) <= 1.0:
+                raise DomainError(f"pgf requires a finite s with |s| <= 1, got {s}")
+            return mittag_leffler(self.kappa, self.nu * (s - 1.0))
         arr, shape = _as_array(s)
-        if np.any(np.abs(arr) > 1.0):
-            raise DomainError("pgf requires |s| <= 1")
+        if not np.all(np.abs(arr) <= 1.0):
+            raise DomainError("pgf requires a finite s with |s| <= 1")
         return _ret(mittag_leffler(self.kappa, self.nu * (arr - 1.0)), shape)
 
     def mean_var(self) -> tuple[float, float]:

@@ -26,13 +26,18 @@ therefore split into four branches:
 ``Gamma(1 - m)`` from the asymptotic branch; past the double range it is
 ``inf``, as on the other branches, with no overflow warning.
 
-One value of z (a scalar, or an array of size 1) takes a front door with
-``math`` alone: kappa 1, the branch test and the power series summed term
-by term, with the terms, stop rule and cap of the array kernel, to the
-same bits.  Every
-other value goes to the array kernels, and a series that does not converge
-to their hand-offs (the cut integral, lead - R).  ``_series_region`` is the
-one statement of where the series applies, for both doors.
+One value of z (a scalar, or an array of size 1) takes a front door,
+``_one_value``, that picks its branch as the array path does without
+building its masks.  kappa 1 and the power series use ``math`` alone, the
+series summed term by term with the terms, stop rule and cap of the array
+kernel, to the same bits (~9 us a call).  A series that does not converge,
+and every value it does not take, gets the array kernels on a 1-value
+array: lead - R (~21 us), the expansion (~19 us), or one row of the cut
+integral (~16 us on the shared nodes, ~49 us on graded pole panels; an
+expansion its bound refuses adds its own cost first).  The array path's
+mask pass, which cost these values ~17-33 us a call, serves arrays of two
+or more values.  ``_series_region`` is the one statement of where the
+series applies, for both doors.  (Best of 7 timeit runs on a 2-core Xeon.)
 
 The gamma-family kernels every module uses (``_log_gamma``, ``_digamma``)
 and the Gauss-Legendre rule are built on ``math`` and numpy alone: they
@@ -67,8 +72,10 @@ _SPECTRAL_X_MIN = 0.25
 _POSITIVE_SERIES_EXPONENT_MAX = 15.0
 
 _ASYMPTOTIC_MAX_TERMS = 12
-# smallest |z| at which the expansion is tried for a negative z
+# smallest |z| at which the expansion is tried for a negative z, and the
+# largest two-term remainder bound, relative to its value, that it accepts
 _ASYMPTOTIC_THRESHOLD = 50.0
+_ASYMPTOTIC_RTOL = 1e-15
 
 # the E_k power series stops after 2 consecutive terms below _ML_SERIES_TOL
 # relative to its partial sum (see _sum_series), or fails after _ML_MAX_TERMS
@@ -582,10 +589,13 @@ def _positive_rest(kappa: float, x: np.ndarray, exponent: np.ndarray) -> np.ndar
     return lead - _log_step_cut(kappa, x, positive=True)
 
 
-def _one_value(kappa: float, z: float) -> float | None:
-    """E_k(z) for one z in the series region, or at kappa 1, with ``math``
-    alone; a series that does not converge gets the array path's hand-off.
-    None hands z to the array kernels."""
+def _one_value(kappa: float, z: float) -> float:
+    """E_k(z) for one finite z, on the branch the array path takes: kappa 1
+    and the power series with ``math`` alone, then, with 1-value arrays,
+    lead - R for z > 0, the expansion for z <= -_ASYMPTOTIC_THRESHOLD where
+    its bound accepts it, and otherwise one row of the cut integral.  The
+    exponent of lead - R is numpy's power, as on the array path: ``math``'s
+    may differ by an ulp, which exp multiplies by up to ~700."""
     if not math.isfinite(z):
         raise DomainError("z must be finite")
     # math raises OverflowError where numpy gives inf
@@ -598,23 +608,29 @@ def _one_value(kappa: float, z: float) -> float | None:
         exponent = abs(z) ** (1.0 / kappa)
     except OverflowError:
         exponent = math.inf
-    if not _series_region(z, exponent):
-        return None
-    value = _series_one(kappa, z)
-    if value is None:
+    if _series_region(z, exponent):
+        value = _series_one(kappa, z)
+        if value is not None:
+            return value
         _check_series_fallback(z)
-        x = np.array([abs(z)])
-        value = float((_log_step_cut(kappa, x, positive=False) if z < 0 else
-                       _positive_rest(kappa, x, x ** (1.0 / kappa)))[0])
-    return value
+    x = np.array([abs(z)])
+    if z > 0:
+        with np.errstate(over="ignore"):
+            exponent = x ** (1.0 / kappa)
+        return float(_positive_rest(kappa, x, exponent)[0])
+    if x[0] >= _ASYMPTOTIC_THRESHOLD:
+        value, bound = _asymptotic_many(kappa, x)
+        if bound[0] <= _ASYMPTOTIC_RTOL * abs(value[0]):
+            return float(value[0])
+    return float(_log_step_cut(kappa, x, positive=False)[0])
 
 
 def mittag_leffler(kappa, z):
     """Evaluate E_kappa(z) for real z, elementwise over array input.
 
-    One value of z (a scalar, or an array of size 1) is answered with
-    ``math`` where kappa is 1 or the power series takes it; every other
-    value goes through the array kernels.
+    One value of z (a scalar, or an array of size 1) takes ``_one_value``,
+    which picks its branch as the array path does, without the array path's
+    masks; an array of any other size goes through the array kernels.
 
     Parameters
     ----------
@@ -638,17 +654,14 @@ def mittag_leffler(kappa, z):
     z_arr = np.asarray(z, dtype=float)
     if z_arr.size == 1:
         value = _one_value(kappa, z_arr.item())
-        if value is not None:
-            return value if z_arr.ndim == 0 else np.full(z_arr.shape, value)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
+        return value if z_arr.ndim == 0 else np.full(z_arr.shape, value)
+    shape, z_arr = z_arr.shape, z_arr.ravel()
     if not np.all(np.isfinite(z_arr)):
         raise DomainError("z must be finite")
 
     if kappa == 1.0:
         with np.errstate(over="ignore"):
-            out = np.exp(z_arr)
-        return float(out[0]) if scalar else out
+            return np.exp(z_arr).reshape(shape)
 
     out = np.empty_like(z_arr)
     x = np.abs(z_arr)
@@ -673,11 +686,11 @@ def mittag_leffler(kappa, z):
     big = cut & (x >= _ASYMPTOTIC_THRESHOLD)
     if big.any():
         vals, bound = _asymptotic_many(kappa, x[big])
-        good = bound <= 1e-15 * np.abs(vals)
+        good = bound <= _ASYMPTOTIC_RTOL * np.abs(vals)
         idx = np.flatnonzero(big)[good]
         out[idx] = vals[good]
         cut[idx] = False
     if cut.any():
         out[cut] = _log_step_cut(kappa, x[cut], positive=False)
 
-    return float(out[0]) if scalar else out
+    return out.reshape(shape)

@@ -259,6 +259,23 @@ class TestPgf:
         with pytest.raises(DomainError):
             FractionalPoissonLaw(1.0, 0.5).pgf(1.2)
 
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    @pytest.mark.parametrize(
+        "s", [np.nan, np.array([0.5, np.nan]), np.array(np.nan), np.inf, -np.inf, np.array([np.inf])]
+    )
+    def test_non_finite_names_pgf(self, kappa, s):
+        # the error names pgf's own argument, not the z of E_k it would pass
+        with pytest.raises(DomainError, match="pgf requires a finite s"):
+            FractionalPoissonLaw(2.0, kappa).pgf(s)
+
+    @pytest.mark.parametrize("s", [0.3, np.float64(0.3), np.array(0.3), 1, -1.0])
+    def test_scalar_gives_float(self, s):
+        law = FractionalPoissonLaw(5.0, 0.7)
+        got = law.pgf(s)
+        assert type(got) is float
+        assert got == mittag_leffler(0.7, 5.0 * (float(s) - 1.0))
+        assert_allclose(got, law.pgf(np.array([float(s), float(s)])), rtol=1e-14)
+
 
 class TestMoments:
     def test_poisson_case(self):

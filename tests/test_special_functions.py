@@ -118,6 +118,16 @@ class TestMittagLeffler:
         with pytest.raises(DomainError, match="scalar"):
             mittag_leffler(np.array([0.5, 0.6]), -1.0)
 
+    @pytest.mark.parametrize("kappa", [0.5, 0.99, 1.0])
+    def test_array_of_any_shape(self, kappa):
+        # series, cut integral, expansion and lead - R in one 2-d array:
+        # each value lands in its own place
+        z = np.array([[-0.2, -3.0, -1e4], [20.0, -100.0, 0.5]])
+        got = mittag_leffler(kappa, z)
+        assert got.shape == z.shape
+        assert np.array_equal(got.ravel(), mittag_leffler(kappa, z.ravel()))
+        assert np.array_equal(mittag_leffler(kappa, z.T), got.T)
+
     def test_series_nonconvergence_names_branch(self, monkeypatch):
         monkeypatch.setattr(special_functions, "_ML_MAX_TERMS", 2)
         for z in (-0.2, np.array([-0.2]), np.array([-0.2, -0.1])):
@@ -138,17 +148,18 @@ _PARITY_KAPPAS = [0.01, 0.05, 0.2, 0.35, 0.36, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6, 
 
 def _parity_points(kappa):
     """z through every branch: both sides of the series region's bounds,
-    a log grid on each axis, and the extremes."""
+    a log grid on each axis, the expansion's hand-off points (its bound
+    refuses x 50-70 at kappa 0.9 and 50-100 at 0.99) and the extremes."""
     seams = [f * b**kappa for b in (_SERIES_EXPONENT_BUDGET, _POSITIVE_SERIES_EXPONENT_MAX)
              for f in (0.99, 1.01)]
-    grid = np.concatenate((np.geomspace(1e-3, 1e4, 57), seams, [0.25, 50.0]))
+    grid = np.concatenate((np.geomspace(1e-3, 1e4, 57), seams, [0.25, 50.0, 60.0, 70.0, 100.0]))
     extremes = [0.0, -0.0, 1e-300, -1e-300, 1e20, -1e20, 1e300, -1e300]
     return np.concatenate((-grid, grid, extremes))
 
 
 class TestOneValueDoor:
-    """One value of z takes a math front door; arrays of more values take
-    the array kernels.  The two must agree."""
+    """One value of z takes the one-value door; arrays of more values take
+    the array kernels.  The two must agree, branch by branch."""
 
     @pytest.mark.parametrize("kappa", _PARITY_KAPPAS)
     def test_scalar_matches_array(self, kappa):
@@ -171,6 +182,37 @@ class TestOneValueDoor:
         finite = np.isfinite(array) & (array != 0.0) & ~summed
         s, a = scalar[finite], array[finite]
         assert np.all(np.abs(s - a) <= 1e-14 * np.abs(a))
+
+    @pytest.mark.parametrize("kappa", _PARITY_KAPPAS)
+    def test_one_value_takes_the_array_branch(self, kappa, monkeypatch):
+        # the door and the two-value array [z, z] call the same kernels in
+        # the same order; the two series kernels count as one
+        calls = []
+        for name, label in (("_series_one", "series"), ("_series_many", "series"),
+                            ("_positive_rest", "lead - R"), ("_asymptotic_many", "expansion"),
+                            ("_log_step_cut", "cut")):
+            kernel = getattr(special_functions, name)
+
+            def recorder(*args, _kernel=kernel, _label=label, **kwargs):
+                calls.append(_label)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(special_functions, name, recorder)
+        taken = {}
+        for z in _parity_points(kappa).tolist():
+            mittag_leffler(kappa, z)
+            door, calls[:] = calls[:], []
+            mittag_leffler(kappa, np.array([z, z]))
+            assert door == calls, z
+            taken[z], calls[:] = door, []
+        if kappa == 1.0:
+            assert not any(taken.values())
+        # the hand-off points the expansion's bound refuses
+        refused = {0.9: (-50.0, -60.0, -70.0), 0.99: (-50.0, -60.0, -70.0, -100.0)}
+        for z in refused.get(kappa, ()):
+            assert taken[z] == ["expansion", "cut"], z
+        if kappa in refused:
+            assert taken[-100.0 if kappa == 0.9 else -1e4] == ["expansion"]
 
     @pytest.mark.parametrize("kappa", [0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 0.95, 0.99])
     def test_series_paths_agree_bitwise(self, kappa):
