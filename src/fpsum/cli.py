@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -59,46 +59,16 @@ _LAWS = {
 }
 
 
-@dataclass(frozen=True)
-class ReturnsSeries:
-    """Dated log-returns, strictly increasing in time."""
-
-    dates: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.dates) != self.values.size:
-            raise DataError("dates and values must have equal length")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("returns contain non-finite values")
-        parsed = [datetime.date.fromisoformat(d) for d in self.dates]
-        if any(b <= a for a, b in zip(parsed, parsed[1:])):
-            raise DataError("dates must be strictly increasing")
+_PRICES = ("date", "close")
+_RETURNS = ("date", "log_return")
 
 
-def returns_from_prices(rows) -> ReturnsSeries:
-    """log-returns r_t = ln(P_t / P_{t-1}) from (date, close) rows."""
-    dates, prices = [], []
-    for lineno, (date, close) in rows:
-        try:
-            price = float(close)
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: unparseable close {close!r}") from exc
-        if not math.isfinite(price) or price <= 0:
-            raise DataError(f"line {lineno}: close must be positive, got {close!r}")
-        try:
-            datetime.date.fromisoformat(date)
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: bad ISO date {date!r}") from exc
-        dates.append(date)
-        prices.append(price)
-    if len(prices) < 2:
-        raise DataError("need at least two prices to form returns")
-    values = np.diff(np.log(np.asarray(prices)))
-    return ReturnsSeries(dates=tuple(dates[1:]), values=values)
-
-
-def _read_csv_rows(path: str, expected_headers: tuple[tuple[str, ...], ...]):
+def load_series(path: str, headers: tuple) -> tuple[list, np.ndarray]:
+    """(dates, log-returns) of a returns CSV, or of a prices CSV as r_t =
+    ln(P_t / P_{t-1}) dated at t, whose header is one of ``headers``.  Each
+    row but a blank one is checked once, in file order: two fields, a finite
+    value (a close also positive), and an ISO date after the row above's; the
+    first that fails raises a DataError naming its line."""
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -106,53 +76,48 @@ def _read_csv_rows(path: str, expected_headers: tuple[tuple[str, ...], ...]):
     with handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = tuple(h.strip().lower() for h in next(reader))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        header = tuple(h.strip().lower() for h in header)
-        if header not in expected_headers:
+        if header not in headers:
             raise DataError(
                 f"{path}: header {','.join(header)!r} not one of "
-                + " / ".join(",".join(h) for h in expected_headers)
+                + " / ".join(",".join(h) for h in headers)
             )
-        rows = []
+        prices = header == _PRICES
+        name, need = ("close", "positive") if prices else ("return", "finite")
+        dates, values, last = [], [], None
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != 2:
                 raise DataError(f"line {lineno}: expected 2 fields, got {len(row)}")
-            rows.append((lineno, (row[0].strip(), row[1].strip())))
-    return header, rows
+            date, text = row[0].strip(), row[1].strip()
+            try:
+                value = float(text)
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: unparseable {name} {text!r}") from exc
+            if not math.isfinite(value) or prices and value <= 0:
+                raise DataError(f"line {lineno}: {name} must be {need}, got {text!r}")
+            try:
+                day = datetime.date.fromisoformat(date)
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: bad ISO date {date!r}") from exc
+            if last is not None and day <= last:
+                raise DataError(f"line {lineno}: dates must be strictly increasing at {date!r}")
+            dates.append(date)
+            values.append(value)
+            last = day
+    if not prices:
+        return dates, np.asarray(values)
+    if len(values) < 2:
+        raise DataError("need at least two prices to form returns")
+    return dates[1:], np.diff(np.log(np.asarray(values)))
 
 
-def load_series(path: str) -> ReturnsSeries:
-    """Read a returns CSV (date,log_return) or a prices CSV (date,close)."""
-    header, rows = _read_csv_rows(path, (("date", "close"), ("date", "log_return")))
-    if header == ("date", "close"):
-        return returns_from_prices(rows)
-    dates, values = [], []
-    for lineno, (date, value) in rows:
-        try:
-            values.append(float(value))
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: unparseable return {value!r}") from exc
-        try:
-            datetime.date.fromisoformat(date)
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: bad ISO date {date!r}") from exc
-        dates.append(date)
-    return ReturnsSeries(dates=tuple(dates), values=np.asarray(values))
-
-
-def demo_series(seed: int = DEMO_SEED) -> ReturnsSeries:
+def demo_series(seed: int = DEMO_SEED) -> np.ndarray:
     """Synthetic daily log-returns drawn from the bundled NML parameters."""
-    law = NmlLaw(DEMO_MU, DEMO_SIGMA2, DEMO_KAPPA)
-    values = law.sample(RngStream(seed), DEMO_LENGTH)
-    start = datetime.date(2010, 1, 4)
-    dates = tuple(
-        (start + datetime.timedelta(days=i)).isoformat() for i in range(DEMO_LENGTH)
-    )
-    return ReturnsSeries(dates=dates, values=values)
+    return NmlLaw(DEMO_MU, DEMO_SIGMA2, DEMO_KAPPA).sample(RngStream(seed), DEMO_LENGTH)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +161,8 @@ def _model_entry(model: str, estimates, se, cumulants, **extra) -> dict:
     }
 
 
-def fit_models(series: ReturnsSeries, models: tuple[str, ...]) -> dict:
+def fit_models(values: np.ndarray, models: tuple[str, ...]) -> dict:
     """Fit the requested models and assemble the comparison report."""
-    values = series.values
     if values.size < 5:
         raise DataError("need at least 5 returns to fit")
     emp = _empirical_cumulants(values)
@@ -256,10 +220,7 @@ def _format_fit_table(report: dict) -> str:
     lines.append(f"{'model':<9} {'mu (se)':<24} {'sigma2 (se)':<24} {'kappa (se)':<22}")
     for m in report["models"]:
         est, se = m["estimates"], m["se"]
-        kappa = est.get("kappa")
-        kappa_txt = "--" if kappa is None else (
-            f"{kappa: .6g}" + (f" ({se['kappa']:.3g})" if se.get("kappa") is not None else "")
-        )
+        kappa_txt = cell(est["kappa"], se["kappa"])
         flag = m.get("boundary_flag", "")
         if flag and flag != "interior":
             kappa_txt += f" [{flag}]"
@@ -528,9 +489,8 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_returns(args) -> dict:
-    _, rows = _read_csv_rows(args.prices, (("date", "close"),))
-    series = returns_from_prices(rows)
-    return {"kind": "returns_series", "dates": list(series.dates), "values": series.values}
+    dates, values = load_series(args.prices, (_PRICES,))
+    return {"kind": "returns_series", "dates": dates, "values": values}
 
 
 def cmd_fit(args) -> dict:
@@ -539,15 +499,15 @@ def cmd_fit(args) -> dict:
     if args.seed is not None and not args.demo:
         raise DomainError("--seed only applies to --demo")
     if args.demo:
-        series = demo_series(args.seed if args.seed is not None else DEMO_SEED)
+        values = demo_series(args.seed if args.seed is not None else DEMO_SEED)
         source = "demo"
     else:
         if not args.returns:
             raise DataError("fit needs a returns/prices CSV or --demo")
-        series = load_series(args.returns)
+        _, values = load_series(args.returns, (_PRICES, _RETURNS))
         source = args.returns
     models = _parse_list(args.models, str)
-    return {**fit_models(series, models), "source": source}
+    return {**fit_models(values, models), "source": source}
 
 
 def cmd_mc_tables(args) -> dict:

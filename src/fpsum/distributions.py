@@ -24,6 +24,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import DomainError, EvaluationError
 from .special_functions import (
+    _GL_ORDER,
     _check_kappa,
     _gl_panels,
     _kanter_log,
@@ -78,6 +79,27 @@ def _as_array(x, dtype=float) -> tuple[np.ndarray, tuple]:
 def _ret(values: np.ndarray, shape: tuple):
     """1-d results back in the input's shape; a float for a scalar input."""
     return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _is_count(value) -> bool:
+    """An integer, Python or numpy, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _draws(size, draw, scalar=float):
+    """A sampler's draws, taken as ``draw(n)``, a flat array of n: for size
+    None one, as ``scalar``; for a nonnegative integer or a tuple of them an
+    array of that shape, the flat draws in C order.  Any other size is a
+    DomainError."""
+    if size is None:
+        return scalar(draw(1)[0])
+    shape = (size,) if _is_count(size) else size
+    if not isinstance(shape, tuple) or not all(_is_count(n) and n >= 0 for n in shape):
+        raise DomainError(
+            f"size must be None, a nonnegative integer or a tuple of them, got {size!r}"
+        )
+    shape = tuple(map(int, shape))
+    return draw(math.prod(shape)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +230,9 @@ class MittagLefflerLaw:
         (0, pi) and W unit exponential (Kanter's one-sided stable
         transformation), formed as exp((1-kappa) log W - V(Theta)) with V =
         (1-kappa) log A from half-angle tangents (``_kanter_log``)."""
-        n = size if size is not None else 1
         if self.kappa == 1.0:
-            out = np.ones(n)
-        else:
-            out = _mixing_rows(self.kappa, [rng.generator], n)[0]
-        return float(out[0]) if size is None else out
+            return _draws(size, np.ones)
+        return _draws(size, lambda n: _mixing_rows(self.kappa, [rng.generator], n)[0])
 
     def mean(self) -> float:
         return 1.0 / math.gamma(self.kappa + 1.0)
@@ -265,8 +284,8 @@ def _mixing_panels(kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         r_hi += _NODES_FLANK_WIDTH
     r = np.arange(1.0, r_hi + _NODES_FLANK_WIDTH, _NODES_FLANK_WIDTH)
     log_v = np.concatenate((left[::-1], log_vc + c * np.log(r)))
-    v, w0 = _gl_panels(np.zeros(1), np.exp(log_v[:1]), 16)
-    lv, w = _gl_panels(log_v[:-1], log_v[1:], 16)
+    v, w0 = _gl_panels(np.zeros(1), np.exp(log_v[:1]))
+    lv, w = _gl_panels(log_v[:-1], log_v[1:])
     log_u = 2.0 * np.append(np.log(v), lv)
     log_w = np.append(np.log(2.0 * v * w0), np.log(2.0 * w) + 2.0 * lv)
     return log_v, log_u, log_w, _mixing_log_density(kappa, log_u)
@@ -291,38 +310,35 @@ def _refined_nodes(
     # the edges of cutting every panel, np.interp at m / parts
     m = ((cut - 1)[:, None] * parts + np.arange(parts + 1)).ravel()
     sub = np.interp(m / parts, np.arange(log_v.size), log_v).reshape(cut.size, parts + 1)
-    lv, w = _gl_panels(sub[:, :-1].ravel(), sub[:, 1:].ravel(), 16)
+    lv, w = _gl_panels(sub[:, :-1].ravel(), sub[:, 1:].ravel())
     # v - v_j at each level-0 point v_j, through log v to keep its precision
-    lv0 = log_u0.reshape(-1, 16)[cut] / 2.0
+    lv0 = log_u0.reshape(-1, _GL_ORDER)[cut] / 2.0
     diff = np.exp(lv0)[:, None, :] * np.expm1(lv.reshape(cut.size, -1, 1) - lv0[:, None, :])
-    xg, wg = _legendre(16)
+    xg, wg = _legendre()
     hit = diff == 0.0
     # at a level-0 point, all the weight is on it
     ratio = np.where(
         hit.any(axis=2, keepdims=True),
         hit,
-        (-1.0) ** np.arange(16) * np.sqrt((1.0 - xg * xg) * wg) / np.where(hit, 1.0, diff),
+        (-1.0) ** np.arange(_GL_ORDER) * np.sqrt((1.0 - xg * xg) * wg) / np.where(hit, 1.0, diff),
     )
-    log_g = np.einsum("pnj,pj->pn", ratio, log_g0.reshape(-1, 16)[cut]) / ratio.sum(axis=2)
+    log_g = np.einsum("pnj,pj->pn", ratio, log_g0.reshape(-1, _GL_ORDER)[cut]) / ratio.sum(axis=2)
     log_u, log_w, log_g = 2.0 * lv, np.log(2.0 * w) + 2.0 * lv, log_g.ravel()
     if panels.size and panels[0] == 0:
-        return (np.concatenate((log_u0[:16], log_u)), np.concatenate((log_w0[:16], log_w)),
-                np.concatenate((log_g0[:16], log_g)))
+        return tuple(np.concatenate((level0[:_GL_ORDER], new))
+                     for level0, new in ((log_u0, log_u), (log_w0, log_w), (log_g0, log_g)))
     return log_u, log_w, log_g
 
 
-def _mixing_nodes(kappa: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+def _mixing_nodes(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of int h(u) g(u) du against the mixing density, as (log u, log(w g(u))).
 
-    Level 0 is the panels of ``_mixing_panels``, the only nodes at which g is
-    evaluated; it serves the NML density.  At level > 0 every panel but the
-    first is cut into 2**level equal parts in log v, and log g interpolated
-    (``_refined_nodes``).  The FP pmf refines, for the Poisson kernel, which
-    is ~1/sqrt(n) wide in log u, only the panels that hold its integrand.
+    They are the level-0 panels of ``_mixing_panels``, the only nodes at
+    which g is evaluated, and serve the NML density.  The FP pmf refines,
+    for the Poisson kernel, which is ~1/sqrt(n) wide in log u, only the
+    panels that hold its integrand (``_refined_nodes``).
     """
-    log_v, log_u, log_w, log_g = _mixing_panels(kappa)
-    if level > 0:
-        log_u, log_w, log_g = _refined_nodes(kappa, level, np.arange(log_v.size))
+    _, log_u, log_w, log_g = _mixing_panels(kappa)
     return log_u, log_w + log_g
 
 
@@ -413,7 +429,7 @@ def _fp_window(n: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     near = np.zeros(a.size, dtype=bool)
     for _, expo in _exponents(n, a, b):
         near |= (expo >= expo.max(axis=1, keepdims=True) - _FP_WINDOW_DEPTH).any(axis=0)
-    held = near.reshape(-1, 16).any(axis=1)
+    held = near.reshape(-1, _GL_ORDER).any(axis=1)
     grown = held.copy()
     grown[1:] |= held[:-1]
     grown[:-1] |= held[1:]
@@ -425,7 +441,7 @@ def _fp_pmf_mixture(nu: float, kappa: float, n: np.ndarray) -> np.ndarray:
     of each level of ``_fp_mixture_level`` form one block, which sums over
     its window of level-0 panels (``_fp_window``) refined to that level."""
     log_nu = math.log(nu)
-    log_u0, log_wg0 = _mixing_nodes(kappa, 0)
+    log_u0, log_wg0 = _mixing_nodes(kappa)
     a0, b0 = log_nu + log_u0, log_wg0 - nu * np.exp(log_u0)
     levels = _fp_mixture_level(n)
     log_p = np.empty(n.shape)
@@ -519,13 +535,11 @@ class FractionalPoissonLaw:
     def sample(self, rng: RngStream, size=None):
         """Conditionally-Poisson draws: N | U ~ Poisson(nu*U), U mixing."""
         gen = rng.generator
-        n = size if size is not None else 1
         if self.kappa == 1.0:
-            out = gen.poisson(self.nu, n)
-        else:
-            u = MittagLefflerLaw(self.kappa).sample(rng, n)
-            out = gen.poisson(self.nu * u)
-        return int(out[0]) if size is None else out
+            return _draws(size, lambda n: gen.poisson(self.nu, n), int)
+        return _draws(
+            size, lambda n: gen.poisson(self.nu * _mixing_rows(self.kappa, [gen], n)[0]), int
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +554,7 @@ def _nml_standard_density(kappa: float, y: np.ndarray) -> np.ndarray:
         y2 = y * y
     if kappa == 1.0:
         return np.exp(-0.5 * y2) / math.sqrt(_TWO_PI)
-    log_u, log_wg = _mixing_nodes(kappa, 0)
+    log_u, log_wg = _mixing_nodes(kappa)
     with np.errstate(under="ignore"):
         return np.exp(_log_sum_exp(y2, -0.5 * np.exp(-log_u),
                                    log_wg - 0.5 * (math.log(_TWO_PI) + log_u)))
@@ -612,9 +626,9 @@ class NmlLaw:
 
     def sample(self, rng: RngStream, size=None):
         """mu + sigma*sqrt(U)*Z with U mixing and Z standard normal."""
-        n = size if size is not None else 1
-        out = _nml_rows(self.kappa, self.mu, self.sigma, [rng.generator], n)[0]
-        return float(out[0]) if size is None else out
+        return _draws(
+            size, lambda n: _nml_rows(self.kappa, self.mu, self.sigma, [rng.generator], n)[0]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +727,6 @@ class CompLaw:
         cdf = lt - log_h
         np.cumsum(np.exp(cdf, out=cdf), out=cdf)
         cdf[-1] = 1.0
-        n = size if size is not None else 1
-        draws = np.searchsorted(cdf, rng.generator.uniform(size=n), side="left")
-        return int(draws[0]) if size is None else draws
+        return _draws(
+            size, lambda n: np.searchsorted(cdf, rng.generator.uniform(size=n), side="left"), int
+        )

@@ -29,6 +29,8 @@ from .distributions import (
     FractionalPoissonLaw,
     NmlLaw,
     RngStream,
+    _draws,
+    _is_count,
     _nml_rows,
 )
 from .errors import DomainError
@@ -116,10 +118,12 @@ def fp_random_sum(
     size=None,
 ) -> np.ndarray:
     """Normalized fractional-Poisson sum: nu^(-1/2) * sum_{j<=N} W_j."""
-    n = size if size is not None else 1
-    counts = FractionalPoissonLaw(nu, kappa).sample(rng, n)
-    out = sum_given_counts(summands, counts, rng) / math.sqrt(nu)
-    return float(out[0]) if size is None else out
+    law = FractionalPoissonLaw(nu, kappa)
+
+    def draw(n):
+        return sum_given_counts(summands, law.sample(rng, n), rng) / math.sqrt(nu)
+
+    return _draws(size, draw)
 
 
 def comp_random_sum(
@@ -130,10 +134,12 @@ def comp_random_sum(
     size=None,
 ) -> np.ndarray:
     """Normalized COMP sum: lam^(-1/(2 eta)) * sum_{j<=K} W_j."""
-    n = size if size is not None else 1
-    counts = CompLaw(lam, eta).sample(rng, n)
-    out = sum_given_counts(summands, counts, rng) * lam ** (-1.0 / (2.0 * eta))
-    return float(out[0]) if size is None else out
+    law = CompLaw(lam, eta)
+
+    def draw(n):
+        return sum_given_counts(summands, law.sample(rng, n), rng) * lam ** (-1.0 / (2.0 * eta))
+
+    return _draws(size, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +345,6 @@ def convergence_sweep(
 # replication r of cell c draws from stream c * _CELL_STREAMS + r, so a cell
 # holds at most this many replications before its streams run into the next's
 _CELL_STREAMS = 1_000_003
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

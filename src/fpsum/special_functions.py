@@ -207,15 +207,21 @@ def _sum_series(terms, first, total, runs, tol, max_terms):
     return total, peak, unconverged
 
 
-# Gauss-Legendre nodes and weights on [-1, 1], from numpy's eigenvalue
-# construction; the first call in a process costs ~1 ms, later orders ~0.4 ms
-_legendre = lru_cache(maxsize=8)(leggauss)
+# the number of nodes of every Gauss-Legendre panel
+_GL_ORDER = 16
 
 
-def _gl_panels(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of ``order`` nodes on each panel [lo, hi];
-    returns (nodes, weights), panel by panel."""
-    xg, wg = _legendre(order)
+@lru_cache(maxsize=1)
+def _legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The _GL_ORDER-point Gauss-Legendre nodes and weights on [-1, 1], from
+    numpy's eigenvalue construction; the first call costs ~1 ms."""
+    return leggauss(_GL_ORDER)
+
+
+def _gl_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule on each panel [lo, hi]; returns (nodes,
+    weights), panel by panel."""
+    xg, wg = _legendre()
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
@@ -308,7 +314,7 @@ _POLE_WIDTH_MAX = 0.1
 def _log_step_nodes() -> tuple[np.ndarray, np.ndarray]:
     """16-point Gauss-Legendre nodes s on the shared edges, and their
     weights times the step exp(-exp(s))."""
-    s, w = _gl_panels(_LOG_STEP_EDGES[:-1], _LOG_STEP_EDGES[1:], 16)
+    s, w = _gl_panels(_LOG_STEP_EDGES[:-1], _LOG_STEP_EDGES[1:])
     return s, np.exp(-np.exp(s)) * w
 
 
@@ -359,7 +365,7 @@ def _pole_panels(kappa, x, u_p, sin_a, width):
     # pole edges past the ends pile up there, as panels of width 0
     lo, hi = (_LOG_STEP_LEFT - s_p)[:, None], (_LOG_STEP_RIGHT - s_p)[:, None]
     edges = np.sort(np.hstack((_LOG_STEP_EDGES - s_p[:, None], np.clip(pole, lo, hi))), axis=1)
-    t, w = _gl_panels(edges[:, :-1].ravel(), edges[:, 1:].ravel(), 16)
+    t, w = _gl_panels(edges[:, :-1].ravel(), edges[:, 1:].ravel())
     t, w = t.reshape(x.size, -1), w.reshape(x.size, -1)
     # three arrays, written in place: w times the step at s = s_p + t ...
     step = np.exp(s_p[:, None] + t)
@@ -556,8 +562,9 @@ def _mixing_density_log(kappa: float, log_u: np.ndarray) -> np.ndarray:
     lo, hi = (np.where(split, lo * ratio ** (step / parts), lo),
               np.where(split, lo * ratio ** ((step + 1) / parts), hi))
     rows, right = rows[panel], right[panel]
-    nodes, w = _gl_panels(lo, hi, 16)
-    nodes, w, right = nodes.reshape(-1, 16), w.reshape(-1, 16), right[:, None]
+    nodes, w = _gl_panels(lo, hi)
+    nodes, w = nodes.reshape(-1, _GL_ORDER), w.reshape(-1, _GL_ORDER)
+    right = right[:, None]
     log_z = (log_u[rows, None] + _kanter_v(
         kappa, np.where(right, np.pi - nodes, nodes), np.where(right, nodes, np.pi - nodes)
     )) / c

@@ -76,6 +76,26 @@ class TestReturns:
     def test_missing_file(self, capsys):
         assert main(["returns", "/nonexistent.csv"]) == 4
 
+    def test_backwards_close_date_reports_line(self, tmp_path, capsys):
+        # the second close is dated before the first: no return spans it
+        path = tmp_path / "prices.csv"
+        path.write_text("date,close\n2020-01-05,100\n2020-01-02,101\n2020-01-03,102\n")
+        assert main(["returns", str(path)]) == 4
+        assert "line 3" in capsys.readouterr().err
+
+    def test_returns_csv_is_not_prices(self, tmp_path, capsys):
+        path = tmp_path / "returns.csv"
+        path.write_text("date,log_return\n2020-01-01,0.1\n2020-01-02,0.2\n")
+        assert main(["returns", str(path)]) == 4
+        assert "date,close" in capsys.readouterr().err
+
+    def test_blank_rows_and_header_case(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text(" Date , CLOSE \n2020-01-01,100\n\n , \n2020-01-02,110\n")
+        payload = run_json(["returns", str(path)], tmp_path)
+        assert payload["dates"] == ["2020-01-02"]
+        assert_allclose(payload["values"], [math.log(1.1)], rtol=1e-12)
+
     def test_csv_roundtrip(self, tmp_path):
         path = write_prices(tmp_path, [100, 105, 95])
         out = tmp_path / "returns.csv"
@@ -224,6 +244,18 @@ class TestFit:
         out = tmp_path / "r.csv"
         assert main(["returns", str(path), "--format", "csv", "--out", str(out)]) == 0
         assert main(["fit", str(out)]) == 3
+
+    @pytest.mark.parametrize("rows,line", [
+        (["2020-01-01,0.1", "2020-01-02,0.2", "2020-01-02,0.3"], 4),
+        (["2020-01-01,0.1", "2020-01-02,nan", "2020-01-03,0.3"], 3),
+        (["2020-01-01,0.1", "2020-01-02,0.2", "2020-01-03,-inf"], 4),
+        (["2020-01-01,inf", "2020-01-02,0.2"], 2),
+    ], ids=["repeated-date", "nan", "minus-inf", "inf"])
+    def test_bad_return_row_reports_line(self, tmp_path, capsys, rows, line):
+        path = tmp_path / "returns.csv"
+        path.write_text("\n".join(["date,log_return"] + rows) + "\n")
+        assert main(["fit", str(path)]) == 4
+        assert f"line {line}:" in capsys.readouterr().err
 
     def test_too_short_series(self, tmp_path):
         path = write_prices(tmp_path, [100, 101, 102])

@@ -12,7 +12,6 @@ from fpsum.distributions import (
     _fp_window,
     _log_sum_exp,
     _mixing_log_density,
-    _mixing_nodes,
     _mixing_panels,
     _refined_nodes,
 )
@@ -107,9 +106,11 @@ class TestPmf:
         levels = _fp_mixture_level(n)
         assert np.unique(levels).size >= 3
         want = np.empty(n.shape)
+        panels = np.arange(_mixing_panels(kappa)[0].size)
         for level in np.unique(levels):
             rows = levels == level
-            log_u, log_wg = _mixing_nodes(kappa, int(level))
+            log_u, log_w, log_g = _refined_nodes(kappa, int(level), panels)
+            log_wg = log_w + log_g
             want[rows] = _log_sum_exp(n[rows], np.log(nu) + log_u, log_wg - nu * np.exp(log_u))
         rtol = 1e-13 + 4.0 * np.spacing(np.abs(want))
         want -= _log_gamma(n + 1.0)

@@ -141,7 +141,7 @@ class TestDensity:
     def test_level_zero_mass_and_mean_near_one(self, kappa):
         # the quadrature nodes of the NML density and the FP pmf hold the
         # spike: its mass and mean, within ~1e-8 of u = 1
-        log_u, log_wg = _mixing_nodes(kappa, 0)
+        log_u, log_wg = _mixing_nodes(kappa)
         wg = np.exp(log_wg)
         assert abs(wg.sum() - 1.0) <= 1e-13
         assert abs(np.exp(log_u) @ wg * gamma(1.0 + kappa) - 1.0) <= 1e-13
